@@ -69,7 +69,7 @@ from .zero_finder import (
     SCAN_R_MAX,
     delta_exclusion,
     find_extrema,
-    scan_interval,
+    scan_folds,
     sign_profile,
 )
 
@@ -138,8 +138,9 @@ def _env_thread_cap() -> int | None:
     return cap if cap >= 1 else None
 
 
-def _scan_many(tasks: list[tuple[int, int]]) -> dict[tuple[int, int], object]:
-    """Scan many (r, k) intervals, possibly in parallel; results are keyed
+def _scan_many(tasks: list[tuple[int, list[int]]]) -> dict[tuple[int, int], object]:
+    """Scan many intervals, possibly in parallel.  Each task is (k, fold
+    counts) and scans interval k once for all of them; results are keyed
     by (r, k) so assembly order never depends on scheduling."""
     if not tasks:
         return {}
@@ -148,10 +149,14 @@ def _scan_many(tasks: list[tuple[int, int]]) -> dict[tuple[int, int], object]:
         cap = min(8, os.cpu_count() or 1)
     workers = max(1, min(cap, len(tasks)))
     if workers == 1:
-        return {(r, k): scan_interval(r, k) for r, k in tasks}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {(r, k): pool.submit(scan_interval, r, k) for r, k in tasks}
-        return {key: fut.result() for key, fut in futures.items()}
+        done = [scan_folds(k, r_values) for k, r_values in tasks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(scan_folds, k, r_values) for k, r_values in tasks]
+            done = [fut.result() for fut in futures]
+    return {
+        (r, scan.k): scan for scans in done for r, scan in scans.items()
+    }
 
 
 def _print_json(payload) -> None:
@@ -193,7 +198,7 @@ def _cmd_zeros(args) -> int:
     ks = [args.k] if args.k is not None else list(range(r, 1, -1))
     if args.k is not None and not 2 <= args.k <= r:
         raise ParameterRangeError(f"interval index {args.k} outside [2, {r}]")
-    scans = _scan_many([(r, k) for k in ks])
+    scans = _scan_many([(k, [r]) for k in ks])
     records = []
     intervals = []
     unstable = False
@@ -261,8 +266,7 @@ def _cmd_census(args) -> int:
     r_max = args.r_max
     if not 2 <= r_max <= SCAN_R_MAX:
         raise ParameterRangeError(f"census fold cap {r_max} outside [2, {SCAN_R_MAX}]")
-    tasks = [(r, k) for r in range(2, r_max + 1) for k in range(2, r + 1)]
-    scans = _scan_many(tasks)
+    scans = _scan_many([(k, list(range(k, r_max + 1))) for k in range(2, r_max + 1)])
     reports = []
     unstable_intervals = []
     for r in range(2, r_max + 1):
@@ -468,14 +472,13 @@ def _verify_asymptotics() -> list[dict]:
 
 def _verify_zeros() -> list[dict]:
     checks = []
-    tasks = [(r, k) for r in range(2, 9) for k in range(2, r + 1)]
-    scans = _scan_many(tasks)
+    scans = _scan_many([(k, list(range(k, 9))) for k in range(2, 9)])
     stable = all(scan.count_stable for scan in scans.values())
     checks.append(
         _check(
             "zero counts stable across grid doublings (r <= 8)",
             stable,
-            f"{len(tasks)} intervals",
+            f"{len(scans)} intervals",
         )
     )
     suspects = sum(len(scan.tangency_suspects) for scan in scans.values())
@@ -488,10 +491,10 @@ def _verify_zeros() -> list[dict]:
     for (r, k), scan in scans.items():
         # The scale bracket is the sign-change cell of the finest scan grid,
         # i.e. the bracket each refinement actually started from.
-        g = (4 if len(scan.grid_counts) == 3 else 8) * BASE_GRID
+        cells = (4 if len(scan.grid_counts) == 3 else 8) * (BASE_GRID - 1)
         lo_edge = 1.0 / k + delta_exclusion(k)
         hi_edge = 1.0 / (k - 1) - delta_exclusion(k - 1)
-        h = (hi_edge - lo_edge) / (g - 1)
+        h = (hi_edge - lo_edge) / cells
         for rec in scan.zeros:
             bracket_ok = bracket_ok and rec.bracket_hi - rec.bracket_lo <= 1e-12
             cell_lo = lo_edge + int((rec.abscissa - lo_edge) / h) * h

@@ -110,17 +110,17 @@ def multizeta(r: int, s: float) -> float:
     return folds[r]
 
 
-def multizeta_grid(r: int, s: np.ndarray) -> np.ndarray:
-    """Vectorised `multizeta` over a 1-d array of abscissas.
+def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
+    """Every fold zeta_0 .. zeta_r over a 1-d array of abscissas.
 
-    Every element must satisfy the same domain and pole-guard rules as the
-    scalar path; the whole array shares one zeta configuration per i, so
-    values may differ from scalars by a few ulp.
+    The points are validated once against the domain and the pole guards
+    of the r-fold function, which cover those of every lower fold, and the
+    recursion runs once; entry j is the j-fold function on the grid.
     """
     _check_r(r)
     s = np.asarray(s, dtype=float)
     if s.size == 0:
-        return np.empty(0, dtype=float)
+        return [np.empty(0, dtype=float) for _ in range(r + 1)]
     if not np.all(np.isfinite(s)):
         raise DomainError("abscissas must be finite")
     if float(s.min()) < 0.0:
@@ -136,7 +136,19 @@ def multizeta_grid(r: int, s: np.ndarray) -> np.ndarray:
         for i in range(1, j + 1):
             acc += (-1) ** (i - 1) * folds[j - i] * zs[i - 1]
         folds.append(acc / j)
-    return folds[r]
+    return folds
+
+
+def multizeta_grid(r: int, s: np.ndarray) -> np.ndarray:
+    """Vectorised `multizeta` over a 1-d array of abscissas: the last fold
+    of `_fold_table(r, s)`.
+
+    Every element must satisfy the same domain and pole-guard rules as the
+    scalar path; the whole array shares one zeta configuration per i, so
+    values may differ from scalars by a few ulp.  Fold j of a table built
+    for any r >= j equals `multizeta_grid(j, s)` bit for bit.
+    """
+    return _fold_table(r, s)[r]
 
 
 def closed_form(r: int, s: float) -> float:

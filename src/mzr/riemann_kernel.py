@@ -165,12 +165,15 @@ def riemann_zeta_grid(
     n, m = cfg.direct_terms, cfg.correction_terms
     terms = np.arange(1, n, dtype=float)
     total = np.sum(terms[:, None] ** (-s[None, :]), axis=0)
-    total += n ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * n ** (-s)
+    # n^(1-s) and n^(-s-2j+1) are n^(-s) times a scalar power of n, so
+    # the tail and the corrections share one array power.
+    ns = n ** (-s)
+    total += n * ns / (s - 1.0)
+    total += 0.5 * ns
     rising = np.ones_like(s)
     for j in range(1, m + 1):
         rising = s.copy() if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
-        total += _CORRECTION_WEIGHT[j] * rising * n ** (-s - 2 * j + 1)
+        total += (_CORRECTION_WEIGHT[j] * n ** (1 - 2 * j)) * rising * ns
     return total
 
 

@@ -1,12 +1,15 @@
 """Inter-asymptotic zeros and extrema of the r-fold functions on (0, 1).
 
-Each interval (1/k, 1/(k-1)) between consecutive asymptotes is scanned on
-a uniform grid for sign changes, every change is refined by a bracketing
-Brent iteration to a 1e-12-wide bracket, and the scan is repeated at two
-doubled densities so a count that drifts with resolution is flagged
-instead of trusted.  Near-zero grid values without an adjacent sign change
-are reported as suspected tangencies rather than silently dropped: an
-even-order zero would look exactly like that.
+Each interval (1/k, 1/(k-1)) between consecutive asymptotes is scanned for
+sign changes at three nested densities, g, 2g - 1 and 4g - 3 points, that
+share their points: one fold table, evaluated once on the finest grid,
+serves every fold count that needs the interval, and the coarser scans
+are its every second and fourth point.  A count that drifts with
+resolution is flagged instead of trusted.  Every sign change of the finest
+grid is refined by a bracketing Brent iteration to a 1e-12-wide bracket.
+Near-zero grid values without an adjacent sign change are reported as
+suspected tangencies rather than silently dropped: an even-order zero
+would look exactly like that.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BracketError, ParameterRangeError
-from .multizeta import multizeta, multizeta_grid
+from .multizeta import _fold_table, multizeta, multizeta_grid
 
 __all__ = [
     "SCAN_R_MAX",
@@ -32,6 +35,7 @@ __all__ = [
     "delta_exclusion",
     "refine_root",
     "scan_interval",
+    "scan_folds",
     "find_extrema",
     "sign_profile",
 ]
@@ -383,45 +387,75 @@ def _grid_crossings(
     return brackets, suspects
 
 
-def scan_interval(r: int, k: int, base_grid: int = BASE_GRID) -> IntervalScan:
-    """Locate and refine every zero of the r-fold function in (1/k, 1/(k-1)).
+def scan_folds(
+    k: int, r_values, base_grid: int = BASE_GRID
+) -> dict[int, IntervalScan]:
+    """Locate and refine every zero in (1/k, 1/(k-1)) for each fold count
+    in r_values, from one fold table.
 
-    Scans at base_grid, doubled, and quadrupled densities; if the three
-    counts disagree, one further doubling is tried and the scan is flagged
-    unstable unless the last three counts agree.  Zeros of the finest grid
-    are refined and returned in ascending order.
+    The folds up to max(r_values) are evaluated once on the finest regular
+    grid, linspace(lo, hi, 4g - 3) with g = base_grid; the coarser scans
+    are its every second and every fourth point, so the three densities
+    g, 2g - 1 and 4g - 3 share their points.  A fold count whose three
+    counts disagree gets one further density, 8g - 7, made by evaluating
+    only the midpoints of the finest grid; it is flagged unstable unless
+    its last three counts agree.  Zeros of the finest grid each fold count
+    reached are refined and returned in ascending order.  Returns one
+    IntervalScan per fold count, keyed by r.
     """
-    _check_interval(r, k)
+    r_values = list(r_values)
+    if not r_values:
+        raise ParameterRangeError("need at least one fold count")
+    for r in r_values:
+        _check_interval(r, k)
+    r_values = sorted(set(r_values))
     if not isinstance(base_grid, int) or isinstance(base_grid, bool) or base_grid < 16:
         raise ParameterRangeError(f"grid must be an integer >= 16, got {base_grid!r}")
     lo, hi = _interval_bounds(k)
-    counts: list[int] = []
-    brackets: list[tuple[float, float]] = []
-    suspects: list[float] = []
-    densities = [base_grid, 2 * base_grid, 4 * base_grid]
-    for g in densities:
-        s = np.linspace(lo, hi, g)
-        v = multizeta_grid(r, s)
-        brackets, suspects = _grid_crossings(s, v)
-        counts.append(len(brackets))
-    if len(set(counts)) == 1:
-        stable = True
-    else:
-        g = 8 * base_grid
-        s = np.linspace(lo, hi, g)
-        v = multizeta_grid(r, s)
-        brackets, suspects = _grid_crossings(s, v)
-        counts.append(len(brackets))
-        stable = counts[-1] == counts[-2] == counts[-3]
-    zeros = tuple(refine_root(r, a, b) for a, b in brackets)
-    return IntervalScan(
-        r=r,
-        k=k,
-        zeros=zeros,
-        grid_counts=tuple(counts),
-        count_stable=stable,
-        tangency_suspects=tuple(suspects),
-    )
+    s = np.linspace(lo, hi, 4 * base_grid - 3)
+    table = _fold_table(r_values[-1], s)
+    counts: dict[int, list[int]] = {}
+    found: dict[int, tuple[list[tuple[float, float]], list[float]]] = {}
+    for r in r_values:
+        counts[r] = []
+        for step in (4, 2, 1):
+            found[r] = _grid_crossings(s[::step], table[r][::step])
+            counts[r].append(len(found[r][0]))
+    unsettled = [r for r in r_values if len(set(counts[r])) > 1]
+    if unsettled:
+        mid = 0.5 * (s[:-1] + s[1:])
+        mid_table = _fold_table(unsettled[-1], mid)
+        fine = np.empty(2 * s.size - 1)
+        fine[::2], fine[1::2] = s, mid
+        for r in unsettled:
+            v = np.empty_like(fine)
+            v[::2], v[1::2] = table[r], mid_table[r]
+            found[r] = _grid_crossings(fine, v)
+            counts[r].append(len(found[r][0]))
+    scans = {}
+    for r in r_values:
+        brackets, suspects = found[r]
+        scans[r] = IntervalScan(
+            r=r,
+            k=k,
+            zeros=tuple(refine_root(r, a, b) for a, b in brackets),
+            grid_counts=tuple(counts[r]),
+            count_stable=counts[r][-1] == counts[r][-2] == counts[r][-3],
+            tangency_suspects=tuple(suspects),
+        )
+    return scans
+
+
+def scan_interval(r: int, k: int, base_grid: int = BASE_GRID) -> IntervalScan:
+    """Locate and refine every zero of the r-fold function in (1/k, 1/(k-1)).
+
+    The single-fold case of `scan_folds`: scans at the nested densities
+    g, 2g - 1 and 4g - 3 (g = base_grid); if the three counts disagree,
+    the midpoints are added (8g - 7 points) and the scan is flagged
+    unstable unless the last three counts agree.  Zeros of the finest grid
+    are refined and returned in ascending order.
+    """
+    return scan_folds(k, [r], base_grid)[r]
 
 
 def _golden_minimum(g, a: float, b: float, xtol: float) -> float:

@@ -26,7 +26,7 @@ from mzr import (
     multizeta,
     riemann_zeta,
     riemann_zeta_alternating,
-    scan_interval,
+    scan_folds,
     sign_profile,
     truncated_euler_zagier,
 )
@@ -88,9 +88,9 @@ def all_scans():
     """One full scan of every interval for r = 2..10, shared by the zero
     and census criteria."""
     return {
-        (r, k): scan_interval(r, k)
-        for r in range(2, 11)
-        for k in range(2, r + 1)
+        (r, k): scan
+        for k in range(2, 11)
+        for r, scan in scan_folds(k, range(k, 11)).items()
     }
 
 

@@ -1,8 +1,10 @@
 """Zero and extremum location between consecutive asymptotes: bracket
 refinement contracts, grid-scan stability, and the constant-sign check
 on the leftmost segment."""
+import importlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,14 @@ from mzr import (
     find_extrema,
     multizeta,
     refine_root,
+    scan_folds,
     scan_interval,
     sign_profile,
 )
+from mzr.cli import main
+
+zero_finder = importlib.import_module("mzr.zero_finder")
+multizeta_module = importlib.import_module("mzr.multizeta")
 
 # Zeros refined independently at 40 decimal digits, frozen as doubles.
 KNOWN_ZEROS = {
@@ -164,6 +171,74 @@ class TestScanInterval:
             scan_interval(4, 5)
         with pytest.raises(ParameterRangeError):
             scan_interval(4, 2, base_grid=8)
+
+
+class TestScanFolds:
+    @pytest.mark.parametrize("k", range(2, 11))
+    def test_shared_scan_equals_single_scans(self, k):
+        scans = scan_folds(k, range(k, 11))
+        assert sorted(scans) == list(range(k, 11))
+        for r, scan in scans.items():
+            assert scan == scan_interval(r, k), (r, k)
+
+    def test_census_makes_one_fold_table_per_interval(self, capsys, monkeypatch):
+        calls = []
+        kernel = multizeta_module.riemann_zeta_grid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(multizeta_module, "riemann_zeta_grid", counted)
+        assert main(["census", "--r-max", "8"]) == 0
+        capsys.readouterr()
+        # Intervals k = 2..8, each one table of 8 folds: 7 * 8 kernel calls.
+        assert len(calls) == 56
+
+    @pytest.mark.parametrize(
+        "flipped,counts,stable", [(1, (1, 1, 3, 3), False), (2, (1, 3, 3, 3), True)]
+    )
+    def test_unsettled_count_adds_only_the_midpoints(
+        self, monkeypatch, flipped, counts, stable
+    ):
+        # Flip the sign of one 3-fold value on the finest grid: index 1 is
+        # seen by density 4g - 3 only, index 2 by 2g - 1 and 4g - 3.
+        tables = []
+        real_table = zero_finder._fold_table
+
+        def table(r, s):
+            tables.append(np.array(s))
+            folds = real_table(r, s)
+            if len(tables) == 1:
+                folds[3][flipped] = -folds[3][flipped]
+            return folds
+
+        monkeypatch.setattr(zero_finder, "_fold_table", table)
+        monkeypatch.setattr(zero_finder, "refine_root", lambda r, a, b: (a, b))
+        g = 16
+        scans = scan_folds(2, [2, 3], base_grid=g)
+        assert scans[2].grid_counts == (1, 1, 1)
+        assert scans[2].count_stable
+        assert scans[3].grid_counts == counts
+        assert scans[3].count_stable is stable
+        coarse, mid = tables
+        assert coarse.size == 4 * g - 3
+        assert mid.size == 4 * g - 4
+        lo, hi = coarse[0], coarse[-1]
+        np.testing.assert_allclose(mid, np.linspace(lo, hi, 8 * g - 7)[1::2], rtol=1e-15)
+        width = (hi - lo) / (8 * g - 8)
+        for a, b in scans[3].zeros:
+            assert b - a == pytest.approx(width, rel=1e-9)
+
+    def test_validation(self):
+        with pytest.raises(ParameterRangeError):
+            scan_folds(3, [])
+        with pytest.raises(ParameterRangeError):
+            scan_folds(3, [3, 2])
+        with pytest.raises(ParameterRangeError):
+            scan_folds(3, [3, SCAN_R_MAX + 1])
+        with pytest.raises(ParameterRangeError):
+            scan_folds(3, [3], base_grid=15)
 
 
 class TestFindExtrema:
