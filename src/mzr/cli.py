@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -67,9 +68,11 @@ from .riemann_kernel import (
 from .zero_finder import (
     BASE_GRID,
     SCAN_R_MAX,
+    _refine_scans,
+    _scan_grid,
     delta_exclusion,
     find_extrema,
-    scan_folds,
+    refine_roots,
     sign_profile,
 )
 
@@ -139,9 +142,10 @@ def _env_thread_cap() -> int | None:
 
 
 def _scan_many(tasks: list[tuple[int, list[int]]]) -> dict[tuple[int, int], object]:
-    """Scan many intervals, possibly in parallel.  Each task is (k, fold
-    counts) and scans interval k once for all of them; results are keyed
-    by (r, k) so assembly order never depends on scheduling."""
+    """Scan many intervals, the grids possibly in parallel.  Each task is
+    (k, fold counts) and scans interval k once for all of them; then every
+    bracket of the run is refined in one batch.  Results are keyed by
+    (r, k) so assembly order never depends on scheduling."""
     if not tasks:
         return {}
     cap = _env_thread_cap()
@@ -149,14 +153,13 @@ def _scan_many(tasks: list[tuple[int, list[int]]]) -> dict[tuple[int, int], obje
         cap = min(8, os.cpu_count() or 1)
     workers = max(1, min(cap, len(tasks)))
     if workers == 1:
-        done = [scan_folds(k, r_values) for k, r_values in tasks]
+        grids = [_scan_grid(k, r_values) for k, r_values in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(scan_folds, k, r_values) for k, r_values in tasks]
-            done = [fut.result() for fut in futures]
-    return {
-        (r, scan.k): scan for scans in done for r, scan in scans.items()
-    }
+            futures = [pool.submit(_scan_grid, k, r_values) for k, r_values in tasks]
+            grids = [fut.result() for fut in futures]
+    scans = _refine_scans([g for grid in grids for g in grid])
+    return {(scan.r, scan.k): scan for scan in scans}
 
 
 def _print_json(payload) -> None:
@@ -198,23 +201,20 @@ def _cmd_zeros(args) -> int:
     ks = [args.k] if args.k is not None else list(range(r, 1, -1))
     if args.k is not None and not 2 <= args.k <= r:
         raise ParameterRangeError(f"interval index {args.k} outside [2, {r}]")
-    scans = _scan_many([(k, [r]) for k in ks])
+    found = _scan_many([(k, [r]) for k in ks])
+    scans = [found[(r, k)] for k in sorted(ks, reverse=True)]
+    zeros = [scan.zeros for scan in scans]
+    if args.tol < 1e-12:
+        zeros = _refine_with_tol(zeros, args.tol)
     records = []
     intervals = []
     unstable = False
-    for k in sorted(ks, reverse=True):
-        scan = scans[(r, k)]
-        if args.tol < 1e-12:
-            refined = tuple(
-                _refine_with_tol(rec, args.tol) for rec in scan.zeros
-            )
-        else:
-            refined = scan.zeros
+    for scan, refined in zip(scans, zeros):
         for rec in sorted(refined, key=lambda z: z.abscissa):
             records.append(dataclasses.asdict(rec))
         intervals.append(
             {
-                "k": k,
+                "k": scan.k,
                 "grid_counts": list(scan.grid_counts),
                 "count_stable": scan.count_stable,
                 "tangency_suspects": list(scan.tangency_suspects),
@@ -225,14 +225,21 @@ def _cmd_zeros(args) -> int:
     return 5 if unstable else 0
 
 
-def _refine_with_tol(rec, tol):
-    from .zero_finder import refine_root
-
-    # Re-refine from a slightly widened bracket so the tightened tolerance
-    # is actually exercised.
-    lo = rec.bracket_lo - 1e-9
-    hi = rec.bracket_hi + 1e-9
-    return refine_root(rec.r, lo, hi, tol=tol)
+def _refine_with_tol(groups, tol):
+    # Re-refine from slightly widened brackets so the tightened tolerance
+    # is actually exercised; every record of the run in one batch, handed
+    # back in the groups given.
+    refined = iter(
+        refine_roots(
+            [
+                (rec.r, rec.bracket_lo - 1e-9, rec.bracket_hi + 1e-9)
+                for group in groups
+                for rec in group
+            ],
+            tol,
+        )
+    )
+    return [tuple(itertools.islice(refined, len(group))) for group in groups]
 
 
 def _cmd_extrema(args) -> int:

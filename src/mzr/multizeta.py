@@ -23,7 +23,7 @@ from .errors import (
     ParameterRangeError,
     PoleProximityError,
 )
-from .riemann_kernel import POLE_GUARD_RADIUS, riemann_zeta, riemann_zeta_grid
+from .riemann_kernel import POLE_GUARD_RADIUS, _zeta_rows, riemann_zeta
 
 __all__ = [
     "R_MAX",
@@ -114,8 +114,9 @@ def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
     """Every fold zeta_0 .. zeta_r over a 1-d array of abscissas.
 
     The points are validated once against the domain and the pole guards
-    of the r-fold function, which cover those of every lower fold, and the
-    recursion runs once; entry j is the j-fold function on the grid.
+    of the r-fold function, which cover those of every lower fold; zeta(i*s)
+    for i = 1..r comes from one `_zeta_rows` call and the recursion runs
+    once; entry j is the j-fold function on the grid.
     """
     _check_r(r)
     s = np.asarray(s, dtype=float)
@@ -129,7 +130,7 @@ def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
         near = np.abs(s - 1.0 / k) < POLE_GUARD_RADIUS
         if near.any():
             raise PoleProximityError(k=k, order=r // k, s=float(s[near][0]))
-    zs = [riemann_zeta_grid(i * s) for i in range(1, r + 1)]
+    zs = _zeta_rows(r, s)
     folds = [np.ones_like(s)]
     for j in range(1, r + 1):
         acc = np.zeros_like(s)
@@ -144,9 +145,11 @@ def multizeta_grid(r: int, s: np.ndarray) -> np.ndarray:
     of `_fold_table(r, s)`.
 
     Every element must satisfy the same domain and pole-guard rules as the
-    scalar path; the whole array shares one zeta configuration per i, so
-    values may differ from scalars by a few ulp.  Fold j of a table built
-    for any r >= j equals `multizeta_grid(j, s)` bit for bit.
+    scalar path.  Values are pointwise: each depends only on its own
+    abscissa, never on the other elements, and may differ from the scalar
+    path by a few ulp, since the zeta sums are taken in another order.
+    Fold j of a table built for any r >= j equals `multizeta_grid(j, s)`
+    bit for bit.
     """
     return _fold_table(r, s)[r]
 

@@ -4,8 +4,9 @@ Two independent evaluators are provided on purpose:
 
 * `riemann_zeta` -- Euler-Maclaurin summation: a direct partial sum, the
   integral tail, the half-term, and Bernoulli-weighted corrections.  This
-  is the production path and also works on numpy arrays via
-  `riemann_zeta_grid`.
+  is the production path.  On arrays, `_zeta_rows` evaluates zeta(i*s)
+  for i = 1..r at once, with the configuration `riemann_zeta` would pick
+  for each point; `riemann_zeta_grid` is its first row.
 * `riemann_zeta_alternating` -- the alternating (eta) series with an
   Euler-transform acceleration of its tail.  Slower, kept as a structurally
   unrelated cross-check; the verify suite compares the two.
@@ -104,11 +105,25 @@ class EulerMaclaurinConfig:
             raise ParameterRangeError("target_rel_error must lie in (0, 1)")
 
 
+# Correction terms of the default configuration.
+_CORRECTION_TERMS = 12
+
+# Points per block of the grid kernel; bounds its (rows x block) work
+# arrays whatever the grid size.
+_BLOCK = 2048
+
+
 def default_config(s_max: float) -> EulerMaclaurinConfig:
     """Adaptive configuration: direct terms grow with s, capped once the
     direct sum alone is converged past machine precision."""
     n = max(20, min(math.ceil(s_max), 70) + 10)
-    return EulerMaclaurinConfig(direct_terms=n, correction_terms=12)
+    return EulerMaclaurinConfig(direct_terms=n, correction_terms=_CORRECTION_TERMS)
+
+
+def _direct_terms(s: np.ndarray) -> np.ndarray:
+    """The direct-term count of `default_config`, elementwise (kept in
+    plain float arithmetic there, where it runs once per scalar call)."""
+    return np.maximum(20.0, np.minimum(np.ceil(s), 70.0) + 10.0)
 
 
 def _check_domain(s: float) -> None:
@@ -148,8 +163,10 @@ def riemann_zeta_grid(
 ) -> np.ndarray:
     """Vectorised `riemann_zeta` over a 1-d array of abscissas.
 
-    One configuration (sized for the largest abscissa) is shared by the
-    whole array, so values can differ from the scalar path by a few ulp.
+    Without `config`, every point gets the configuration `riemann_zeta`
+    would pick for it, so a value never depends on the other points of
+    the array; values can still differ from the scalar path by a few ulp,
+    since the sums are taken in another order.  Row 1 of `_zeta_rows`.
     """
     s = np.asarray(s, dtype=float)
     if s.size == 0:
@@ -161,19 +178,66 @@ def riemann_zeta_grid(
     near = np.abs(s - 1.0) < POLE_GUARD_RADIUS
     if near.any():
         raise PoleProximityError(k=1, order=1, s=float(s[near][0]))
-    cfg = config if config is not None else default_config(float(s.max()))
-    n, m = cfg.direct_terms, cfg.correction_terms
-    terms = np.arange(1, n, dtype=float)
-    total = np.sum(terms[:, None] ** (-s[None, :]), axis=0)
-    # n^(1-s) and n^(-s-2j+1) are n^(-s) times a scalar power of n, so
-    # the tail and the corrections share one array power.
-    ns = n ** (-s)
-    total += n * ns / (s - 1.0)
-    total += 0.5 * ns
-    rising = np.ones_like(s)
-    for j in range(1, m + 1):
-        rising = s.copy() if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
-        total += (_CORRECTION_WEIGHT[j] * n ** (1 - 2 * j)) * rising * ns
+    return _zeta_rows(1, s, config)[0]
+
+
+def _zeta_rows(
+    r: int, s: np.ndarray, config: EulerMaclaurinConfig | None = None
+) -> np.ndarray:
+    """zeta(i*s) for i = 1..r over a 1-d array of abscissas, as an
+    (r, len(s)) array.
+
+    The caller has checked every i*s against the domain and the pole.
+    Each term m takes one power m^(-s) per point and forms m^(-i*s) by
+    repeated multiplication.  Without `config`, every point i*s gets the
+    configuration `riemann_zeta` would pick for it, so a value depends
+    only on its own abscissa and row, never on the other points.
+    """
+    out = np.empty((r, s.size))
+    for lo in range(0, s.size, _BLOCK):
+        out[:, lo:lo + _BLOCK] = _zeta_block(r, s[lo:lo + _BLOCK], config)
+    return out
+
+
+def _zeta_block(
+    r: int, s: np.ndarray, config: EulerMaclaurinConfig | None
+) -> np.ndarray:
+    """`_zeta_rows` on one block of at most _BLOCK points."""
+    sigma = np.arange(1, r + 1, dtype=float)[:, None] * s
+    if config is None:
+        n, corrections = _direct_terms(sigma), _CORRECTION_TERMS
+    else:
+        n = np.full_like(sigma, config.direct_terms)
+        corrections = config.correction_terms
+    total = np.ones_like(sigma)  # the term m = 1
+    tail = np.empty_like(sigma)  # n^(-sigma), read off the chain at m = n
+    power = np.empty_like(sigma)
+    n_min = n.min()
+    for m in range(2, int(n.max()) + 1):
+        power[0] = float(m) ** (-s)
+        for i in range(1, r):
+            np.multiply(power[i - 1], power[0], out=power[i])
+        if m < n_min:
+            total += power
+        else:
+            np.add(total, power, out=total, where=m < n)
+            np.copyto(tail, power, where=m == n)
+    # n^(1-sigma) and n^(1-2j-sigma) are n^(-sigma) times powers of n, so
+    # the integral tail and the corrections share the chained power.
+    tail_n = n * tail
+    total += tail_n / (sigma - 1.0)
+    total += 0.5 * tail
+    # The corrections sum_j W_j rising_j n^(1-2j-sigma) by Horner's rule
+    # in j, with rising_1 = sigma and rising_j / rising_(j-1) =
+    # (sigma + 2j - 3)(sigma + 2j - 2).
+    inv_n2 = 1.0 / (n * n)
+    acc = np.full_like(sigma, _CORRECTION_WEIGHT[corrections])
+    for j in range(corrections - 1, 0, -1):
+        acc *= sigma + (2 * j - 1)
+        acc *= sigma + 2 * j
+        acc *= inv_n2
+        acc += _CORRECTION_WEIGHT[j]
+    total += sigma * inv_n2 * acc * tail_n
     return total
 
 

@@ -5,14 +5,16 @@ sign changes at three nested densities, g, 2g - 1 and 4g - 3 points, that
 share their points: one fold table, evaluated once on the finest grid,
 serves every fold count that needs the interval, and the coarser scans
 are its every second and fourth point.  A count that drifts with
-resolution is flagged instead of trusted.  Every sign change of the finest
-grid is refined by a bracketing Brent iteration to a 1e-12-wide bracket.
+resolution is flagged instead of trusted.  The sign changes of the finest
+grids are refined together to 1e-12-wide brackets: each step subdivides
+every open bracket and evaluates all their points in one fold table.
 Near-zero grid values without an adjacent sign change are reported as
 suspected tangencies rather than silently dropped: an even-order zero
 would look exactly like that.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -34,6 +36,7 @@ __all__ = [
     "SignProfile",
     "delta_exclusion",
     "refine_root",
+    "refine_roots",
     "scan_interval",
     "scan_folds",
     "find_extrema",
@@ -56,7 +59,10 @@ DERIVATIVE_STEP = 1e-6
 # reported as suspected tangencies (possible even-order zeros).
 TANGENCY_DIP = 1e-6
 
-_MAX_BRENT_STEPS = 200
+# Cells per subdivision step: a 3e-5 scan cell reaches 1e-12 in five
+# steps, and one step of every bracket is one fold table.
+_SUBDIVISIONS = 32
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Stencil half-width for the post-bracketing Newton polish: wide enough
@@ -187,59 +193,197 @@ def _interval_bounds(k: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _brent_bracket(
-    f, a: float, b: float, fa: float, fb: float, tol: float
-) -> tuple[float, float, float, float]:
-    """Shrink a sign-change bracket to width <= tol, Brent style.
+def _fold_values(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Fold r[j] at every point of row j of x, from one fold table.
 
-    Returns (lo, hi, f_lo, f_hi) still straddling the sign change.  The
-    inverse-quadratic / secant / bisection step selection follows the
-    classic algorithm; the bracketing pair is maintained throughout.
+    Table values are pointwise, so each value is the one its bracket
+    would get alone, whatever else shares the table.
     """
-    if abs(fa) < abs(fb):
-        a, b, fa, fb = b, a, fb, fa
-    c, fc = a, fa
-    bisected = True
-    d = 0.0
-    for _ in range(_MAX_BRENT_STEPS):
-        if abs(b - a) <= tol:
-            break
-        if fa != fc and fb != fc:
-            s = (
-                a * fb * fc / ((fa - fb) * (fa - fc))
-                + b * fa * fc / ((fb - fa) * (fb - fc))
-                + c * fa * fb / ((fc - fa) * (fc - fb))
+    table = np.asarray(_fold_table(int(r.max()), x.ravel()))
+    rows = np.repeat(r, x.shape[1])
+    return table[rows, np.arange(x.size)].reshape(x.shape)
+
+
+def _straddles(f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
+    return (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0.0) != (f_hi > 0.0))
+
+
+def _rebracket(r: np.ndarray, centre: np.ndarray, widths: np.ndarray):
+    """First of the symmetric brackets centre -+ widths[c] that straddles
+    a sign change, for each centre; returns (found, lo, hi, f_lo, f_hi)."""
+    x = np.concatenate([centre[:, None] - widths, centre[:, None] + widths], axis=1)
+    f = _fold_values(r, x)
+    w = len(widths)
+    ok = _straddles(f[:, :w], f[:, w:])
+    c = ok.argmax(axis=1)
+    rows = np.arange(centre.size)
+    found = ok[rows, c]
+    return found, x[rows, c], x[rows, w + c], f[rows, c], f[rows, w + c]
+
+
+def _subdivide(
+    r: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, tol: float
+) -> None:
+    """Shrink every bracket wider than tol, in place, to its first
+    sign-change cell among _SUBDIVISIONS equal cells, all brackets per
+    fold table.  A subdivision point that evaluates to exactly zero is
+    re-bracketed at the tolerance scale, once per bracket."""
+    fractions = np.arange(1, _SUBDIVISIONS) / _SUBDIVISIONS
+    rebracketed = np.zeros(a.size, dtype=bool)
+    while True:
+        idx = np.nonzero(b - a > tol)[0]
+        if idx.size == 0:
+            return
+        inner = a[idx, None] + (b - a)[idx, None] * fractions
+        x = np.column_stack([a[idx], inner, b[idx]])
+        f = np.column_stack([fa[idx], _fold_values(r[idx], inner), fb[idx]])
+        # The first point whose sign leaves that of the left end closes the
+        # first sign-change cell, unless it is an exact zero.
+        j = np.argmax(np.sign(f[:, 1:]) != np.sign(f[:, :1]), axis=1) + 1
+        rows = np.arange(idx.size)
+        a[idx], fa[idx] = x[rows, j - 1], f[rows, j - 1]
+        b[idx], fb[idx] = x[rows, j], f[rows, j]
+        zero = idx[fb[idx] == 0.0]
+        if zero.size == 0:
+            continue
+        again = zero[rebracketed[zero]]
+        if again.size:
+            raise BracketError(
+                f"iteration keeps landing on an exact zero near {float(b[again[0]])!r}"
             )
-        else:
-            s = b - fb * (b - a) / (fb - fa)
-        lo_guard, hi_guard = (3.0 * a + b) / 4.0, b
-        if lo_guard > hi_guard:
-            lo_guard, hi_guard = hi_guard, lo_guard
-        take_bisection = (
-            not lo_guard < s < hi_guard
-            or (bisected and abs(s - b) >= abs(b - c) / 2.0)
-            or (not bisected and abs(s - b) >= abs(c - d) / 2.0)
-            or (bisected and abs(b - c) < tol)
-            or (not bisected and abs(c - d) < tol)
+        found, lo, hi, flo, fhi = _rebracket(
+            r[zero], b[zero], np.array([0.4, 2.0, 16.0]) * tol
         )
-        if take_bisection:
-            s = (a + b) / 2.0
-            bisected = True
-        else:
-            bisected = False
-        fs = f(s)
-        d, c, fc = c, b, fb
-        if fa * fs < 0.0:
-            b, fb = s, fs
-        else:
-            a, fa = s, fs
-        if abs(fa) < abs(fb):
-            a, b, fa, fb = b, a, fb, fa
-        if fs == 0.0:
+        if not found.all():
+            root = float(b[zero][~found][0])
+            raise BracketError(
+                f"no sign change survives around the exact zero at {root!r}"
+            )
+        a[zero], b[zero], fa[zero], fb[zero] = lo, hi, flo, fhi
+        rebracketed[zero] = True
+
+
+def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]:
+    """Refine sign-change brackets (r, lo, hi) of the r-fold functions to
+    ZeroRecords, all brackets together.
+
+    Each bracket is checked as `refine_root` checks one.  Every step
+    evaluates the points of all brackets in one fold table, of which each
+    bracket reads its own fold; values are pointwise, so a record never
+    depends on the other brackets of the batch.  A bracket wider than
+    `tol` is cut into 32 equal cells and shrunk to the first that changes
+    sign, until it is at most `tol` wide (capped at 1e-12 so every record
+    meets the type invariant).  The abscissa is the secant point of the
+    final bracket, polished by at most two Newton steps; the reported
+    bracket is re-centred on it when the sign change holds there.
+    """
+    if not 1e-14 <= tol <= BRACKET_WIDTH:
+        raise ParameterRangeError(
+            f"bracket tolerance must lie in [1e-14, {BRACKET_WIDTH}]"
+        )
+    rs, ks, los, his = [], [], [], []
+    for r, bracket_lo, bracket_hi in brackets:
+        if not isinstance(r, int) or isinstance(r, bool) or not 2 <= r <= SCAN_R_MAX:
+            raise ParameterRangeError(f"fold count {r!r} outside [2, {SCAN_R_MAX}]")
+        lo, hi = float(bracket_lo), float(bracket_hi)
+        if not lo < hi:
+            raise BracketError(f"bracket [{lo!r}, {hi!r}] is not increasing")
+        k = math.ceil(1.0 / (0.5 * (lo + hi)))
+        if not (2 <= k <= r and 1.0 / k < lo and hi < 1.0 / (k - 1)):
+            raise BracketError(
+                f"bracket [{lo!r}, {hi!r}] does not sit inside one "
+                f"inter-asymptotic interval of the {r}-fold function"
+            )
+        rs.append(r)
+        ks.append(k)
+        los.append(lo)
+        his.append(hi)
+    if not rs:
+        return ()
+    r = np.array(rs)
+    a, b = np.array(los), np.array(his)
+    ends = _fold_values(r, np.column_stack([a, b]))
+    fa, fb = ends[:, 0].copy(), ends[:, 1].copy()
+    bad = np.nonzero(~_straddles(fa, fb))[0]
+    if bad.size:
+        i = bad[0]
+        raise BracketError(
+            f"endpoints do not straddle a sign change: f({los[i]!r}) = "
+            f"{float(fa[i])!r}, f({his[i]!r}) = {float(fb[i])!r}"
+        )
+    _subdivide(r, a, b, fa, fb, tol)
+    half = 0.45 * tol
+    collapsed = np.nonzero(b - a < 1e-14)[0]
+    if collapsed.size:
+        # A cell can come out narrower than 1e-14, leaving almost no
+        # representable interior point.  Re-bracket at the tolerance scale
+        # around the better endpoint.
+        c = collapsed
+        root = np.where(np.abs(fb[c]) <= np.abs(fa[c]), b[c], a[c])
+        found, lo, hi, flo, fhi = _rebracket(r[c], root, np.array([half]))
+        if not found.all():
+            raise BracketError(
+                f"sign change too shallow to re-bracket around {float(root[~found][0])!r}"
+            )
+        a[c], b[c], fa[c], fb[c] = lo, hi, flo, fhi
+    # Secant point of the final bracket, then a short Newton polish.  The
+    # endpoint values this close to the root are evaluation noise, so the
+    # secant alone can misplace the abscissa by the full bracket width
+    # (and noise can even push the exact crossing a sliver outside the
+    # bracket); the polish slope is taken on a stencil wide enough to
+    # clear the noise floor.  The stencil of a step is evaluated with the
+    # point it belongs to.
+    secant = a - fa * (b - a) / (fb - fa)
+    secant = np.where((a < secant) & (secant < b), secant, 0.5 * (a + b))
+    stencil = np.array([0.0, -_POLISH_STEP, _POLISH_STEP])
+    f = _fold_values(r, secant[:, None] + stencil)
+    x, fx, f_minus, f_plus = secant.copy(), f[:, 0], f[:, 1], f[:, 2]
+    best, fbest = x.copy(), np.abs(fx)
+    live = np.ones(r.size, dtype=bool)
+    for step in range(2):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = (f_plus - f_minus) / (2.0 * _POLISH_STEP)
+            nxt = x - fx / slope
+        live &= np.isfinite(slope) & (slope != 0.0)
+        live &= (a - 4.0 * tol < nxt) & (nxt < b + 4.0 * tol)
+        idx = np.nonzero(live)[0]
+        if idx.size == 0:
             break
-    if a > b:
-        a, b, fa, fb = b, a, fb, fa
-    return a, b, fa, fb
+        f = _fold_values(r[idx], nxt[idx, None] + stencil[: 3 if step == 0 else 1])
+        better = np.abs(f[:, 0]) < fbest[idx]
+        live[idx[~better]] = False
+        idx, f = idx[better], f[better]
+        x[idx], fx[idx] = nxt[idx], f[:, 0]
+        best[idx], fbest[idx] = nxt[idx], np.abs(f[:, 0])
+        if step == 0:
+            f_minus[idx], f_plus[idx] = f[:, 1], f[:, 2]
+    # Re-centre the reported bracket on the polished root so the record's
+    # sign change is verified against the point actually reported.
+    held, lo, hi, _, _ = _rebracket(r, best, np.array([half]))
+    a, b = np.where(held, lo, a), np.where(held, hi, b)
+    residual = fbest.copy()
+    shallow = np.nonzero(~held)[0]
+    if shallow.size:
+        # Shallow or noisy crossing: keep the final bracket and the best
+        # estimate it contains.
+        s = shallow
+        inside = (a[s] < best[s]) & (best[s] < b[s])
+        fallback = np.where(
+            (a[s] < secant[s]) & (secant[s] < b[s]), secant[s], 0.5 * (a[s] + b[s])
+        )
+        best[s] = np.where(inside, best[s], fallback)
+        residual[s] = np.abs(_fold_values(r[s], best[s, None])[:, 0])
+    return tuple(
+        ZeroRecord(
+            r=rs[i],
+            k=ks[i],
+            bracket_lo=float(a[i]),
+            bracket_hi=float(b[i]),
+            abscissa=float(best[i]),
+            residual=float(residual[i]),
+        )
+        for i in range(len(rs))
+    )
 
 
 def refine_root(
@@ -248,115 +392,9 @@ def refine_root(
     """Refine a sign-change bracket of the r-fold function to a ZeroRecord.
 
     The endpoints must evaluate to opposite signs and lie inside one
-    inter-asymptotic interval.  The final bracket is at most `tol` wide
-    (capped at 1e-12 so every record meets the type invariant) and the
-    abscissa is the secant point of the final bracket.
+    inter-asymptotic interval.  The single-bracket case of `refine_roots`.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or not 2 <= r <= SCAN_R_MAX:
-        raise ParameterRangeError(f"fold count {r!r} outside [2, {SCAN_R_MAX}]")
-    lo, hi = float(bracket_lo), float(bracket_hi)
-    if not lo < hi:
-        raise BracketError(f"bracket [{lo!r}, {hi!r}] is not increasing")
-    if not 1e-14 <= tol <= BRACKET_WIDTH:
-        raise ParameterRangeError(
-            f"bracket tolerance must lie in [1e-14, {BRACKET_WIDTH}]"
-        )
-    mid = 0.5 * (lo + hi)
-    k = math.ceil(1.0 / mid)
-    if not (2 <= k <= r and 1.0 / k < lo and hi < 1.0 / (k - 1)):
-        raise BracketError(
-            f"bracket [{lo!r}, {hi!r}] does not sit inside one "
-            f"inter-asymptotic interval of the {r}-fold function"
-        )
-
-    def f(x: float) -> float:
-        return multizeta(r, x)
-
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(
-            f"endpoints do not straddle a sign change: f({lo!r}) = {flo!r}, "
-            f"f({hi!r}) = {fhi!r}"
-        )
-    a, b, fa, fb = _brent_bracket(f, lo, hi, flo, fhi, tol)
-    if fa == 0.0 or fb == 0.0:
-        # An iterate hit an exact zero; rebuild a signed bracket around it.
-        root = a if fa == 0.0 else b
-        for widen in (0.4 * tol, 2.0 * tol, 16.0 * tol):
-            wa, wb = root - widen, root + widen
-            fwa, fwb = f(wa), f(wb)
-            if fwa != 0.0 and fwb != 0.0 and (fwa > 0.0) != (fwb > 0.0):
-                a, b, fa, fb = wa, wb, fwa, fwb
-                break
-        else:
-            raise BracketError(
-                f"no sign change survives around the exact zero at {root!r}"
-            )
-        if b - a > tol:
-            a, b, fa, fb = _brent_bracket(f, a, b, fa, fb, tol)
-            if fa == 0.0 or fb == 0.0:
-                raise BracketError(
-                    f"iteration keeps landing on an exact zero near {a!r}"
-                )
-    if b - a < 1e-14:
-        # The last interpolation step can collapse the bracket to adjacent
-        # floats, leaving no representable interior point.  Re-bracket at
-        # the tolerance scale around the better endpoint.
-        root = b if abs(fb) <= abs(fa) else a
-        half = 0.45 * tol
-        wa, wb = root - half, root + half
-        fwa, fwb = f(wa), f(wb)
-        if fwa != 0.0 and fwb != 0.0 and (fwa > 0.0) != (fwb > 0.0):
-            a, b, fa, fb = wa, wb, fwa, fwb
-        else:
-            raise BracketError(
-                f"sign change too shallow to re-bracket around {root!r}"
-            )
-    # Secant point of the final bracket, then a short Newton polish.  The
-    # endpoint values this close to the root are evaluation noise, so the
-    # secant alone can misplace the abscissa by the full bracket width
-    # (and noise can even push the exact crossing a sliver outside the
-    # bracket); the polish slope is taken on a stencil wide enough to
-    # clear the noise floor.
-    abscissa = a - fa * (b - a) / (fb - fa)
-    if not a < abscissa < b:
-        abscissa = 0.5 * (a + b)
-    x, fx = abscissa, f(abscissa)
-    best, fbest = x, abs(fx)
-    for _ in range(2):
-        slope = (f(x + _POLISH_STEP) - f(x - _POLISH_STEP)) / (2.0 * _POLISH_STEP)
-        if not math.isfinite(slope) or slope == 0.0:
-            break
-        nxt = x - fx / slope
-        if not a - 4.0 * tol < nxt < b + 4.0 * tol:
-            break
-        fnxt = f(nxt)
-        if abs(fnxt) >= fbest:
-            break
-        x, fx = nxt, fnxt
-        best, fbest = nxt, abs(fnxt)
-    # Re-center the reported bracket on the polished root so the record's
-    # sign change is verified against the point actually reported.
-    half = 0.45 * tol
-    wa, wb = best - half, best + half
-    fwa, fwb = f(wa), f(wb)
-    if fwa != 0.0 and fwb != 0.0 and (fwa > 0.0) != (fwb > 0.0):
-        a, b = wa, wb
-        abscissa, residual = best, fbest
-    else:
-        # Shallow or noisy crossing: fall back to the original bracket and
-        # the best estimate it contains.
-        if not a < best < b:
-            best = abscissa if a < abscissa < b else 0.5 * (a + b)
-        abscissa, residual = best, abs(f(best))
-    return ZeroRecord(
-        r=r,
-        k=k,
-        bracket_lo=a,
-        bracket_hi=b,
-        abscissa=abscissa,
-        residual=residual,
-    )
+    return refine_roots([(r, bracket_lo, bracket_hi)], tol)[0]
 
 
 def _grid_crossings(
@@ -387,22 +425,22 @@ def _grid_crossings(
     return brackets, suspects
 
 
-def scan_folds(
-    k: int, r_values, base_grid: int = BASE_GRID
-) -> dict[int, IntervalScan]:
-    """Locate and refine every zero in (1/k, 1/(k-1)) for each fold count
-    in r_values, from one fold table.
+@dataclass(frozen=True)
+class _GridScan:
+    """The grid part of an IntervalScan: its sign-change cells in place of
+    the refined zeros."""
 
-    The folds up to max(r_values) are evaluated once on the finest regular
-    grid, linspace(lo, hi, 4g - 3) with g = base_grid; the coarser scans
-    are its every second and every fourth point, so the three densities
-    g, 2g - 1 and 4g - 3 share their points.  A fold count whose three
-    counts disagree gets one further density, 8g - 7, made by evaluating
-    only the midpoints of the finest grid; it is flagged unstable unless
-    its last three counts agree.  Zeros of the finest grid each fold count
-    reached are refined and returned in ascending order.  Returns one
-    IntervalScan per fold count, keyed by r.
-    """
+    r: int
+    k: int
+    brackets: tuple[tuple[float, float], ...]
+    grid_counts: tuple[int, ...]
+    count_stable: bool
+    tangency_suspects: tuple[float, ...]
+
+
+def _scan_grid(k: int, r_values, base_grid: int = BASE_GRID) -> list[_GridScan]:
+    """The grid part of `scan_folds`: brackets, counts and suspects of
+    every fold count, in ascending r."""
     r_values = list(r_values)
     if not r_values:
         raise ParameterRangeError("need at least one fold count")
@@ -432,18 +470,56 @@ def scan_folds(
             v[::2], v[1::2] = table[r], mid_table[r]
             found[r] = _grid_crossings(fine, v)
             counts[r].append(len(found[r][0]))
-    scans = {}
-    for r in r_values:
-        brackets, suspects = found[r]
-        scans[r] = IntervalScan(
+    return [
+        _GridScan(
             r=r,
             k=k,
-            zeros=tuple(refine_root(r, a, b) for a, b in brackets),
+            brackets=tuple(found[r][0]),
             grid_counts=tuple(counts[r]),
             count_stable=counts[r][-1] == counts[r][-2] == counts[r][-3],
-            tangency_suspects=tuple(suspects),
+            tangency_suspects=tuple(found[r][1]),
         )
-    return scans
+        for r in r_values
+    ]
+
+
+def _refine_scans(grid_scans: list[_GridScan]) -> list[IntervalScan]:
+    """The IntervalScans of grid scans, with every bracket of all of them
+    refined in one `refine_roots` batch."""
+    zeros = iter(
+        refine_roots([(g.r, a, b) for g in grid_scans for a, b in g.brackets])
+    )
+    return [
+        IntervalScan(
+            r=g.r,
+            k=g.k,
+            zeros=tuple(itertools.islice(zeros, len(g.brackets))),
+            grid_counts=g.grid_counts,
+            count_stable=g.count_stable,
+            tangency_suspects=g.tangency_suspects,
+        )
+        for g in grid_scans
+    ]
+
+
+def scan_folds(
+    k: int, r_values, base_grid: int = BASE_GRID
+) -> dict[int, IntervalScan]:
+    """Locate and refine every zero in (1/k, 1/(k-1)) for each fold count
+    in r_values, from one fold table.
+
+    The folds up to max(r_values) are evaluated once on the finest regular
+    grid, linspace(lo, hi, 4g - 3) with g = base_grid; the coarser scans
+    are its every second and every fourth point, so the three densities
+    g, 2g - 1 and 4g - 3 share their points.  A fold count whose three
+    counts disagree gets one further density, 8g - 7, made by evaluating
+    only the midpoints of the finest grid; it is flagged unstable unless
+    its last three counts agree.  The sign-change cells of the finest grid
+    each fold count reached are refined together by `refine_roots`, and
+    the zeros are returned in ascending order.  Returns one IntervalScan
+    per fold count, keyed by r.
+    """
+    return {scan.r: scan for scan in _refine_scans(_scan_grid(k, r_values, base_grid))}
 
 
 def scan_interval(r: int, k: int, base_grid: int = BASE_GRID) -> IntervalScan:

@@ -295,6 +295,15 @@ class TestGridEvaluation:
     def test_empty_input(self):
         assert multizeta_grid(3, np.empty(0)).size == 0
 
+    @pytest.mark.parametrize("r", [2, 9, 16])
+    def test_values_are_pointwise(self, r):
+        # Bit for bit: a value never depends on the rest of the array, so
+        # a batch of brackets sees what each bracket sees alone.
+        x = np.concatenate([np.linspace(0.505, 0.995, 40), np.linspace(1.01, 3.0, 40)])
+        values = multizeta_grid(r, x)
+        for j in range(x.size):
+            assert values[j] == multizeta_grid(r, x[j : j + 1])[0], x[j]
+
     def test_grid_pole_guard(self):
         with pytest.raises(PoleProximityError):
             multizeta_grid(3, np.array([0.4, 1.0 / 3.0]))

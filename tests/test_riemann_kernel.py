@@ -21,7 +21,7 @@ from mzr import (
     riemann_zeta_alternating,
     riemann_zeta_grid,
 )
-from mzr.riemann_kernel import default_config
+from mzr.riemann_kernel import _zeta_rows, default_config
 
 # Values computed independently at 40 decimal digits and frozen here;
 # the library never sees them except through these assertions.
@@ -191,6 +191,33 @@ class TestGridEvaluation:
 
     def test_empty_input(self):
         assert riemann_zeta_grid(np.empty(0)).size == 0
+
+    def test_rows_against_mpmath(self):
+        # Rows i = 1..16 of the fold-table kernel, on (0, 1) and at
+        # 3e-8 on either side of every 1/i, where row i sits next to the
+        # pole of zeta.
+        mpmath = pytest.importorskip("mpmath")
+        near = [1.0 / i + d for i in range(1, 17) for d in (-3e-8, 3e-8)]
+        s = np.concatenate([np.linspace(0.004, 0.996, 61), near[1:]])
+        rows = np.arange(1, 17)[:, None]
+        s = s[np.all(np.abs(rows * s - 1.0) > 1e-8, axis=0)]
+        assert set(near[1:]) <= set(s.tolist())
+        values = _zeta_rows(16, s)
+        with mpmath.workdps(30):
+            for i in range(1, 17):
+                for x, value in zip(s, values[i - 1]):
+                    reference = mpmath.zeta(float(i * x))
+                    assert abs(value - reference) <= 1e-13 * abs(reference), (i, x)
+
+    def test_rows_are_pointwise(self):
+        # Each point gets its own configuration, so no value depends on the
+        # other points: rows with i*s past 10 take more direct terms, and
+        # the points are processed in blocks.
+        s = np.linspace(0.52, 3.5, 4500)
+        values = _zeta_rows(12, s)
+        for j in (0, 1, 1000, 2047, 2048, 2049, 4095, 4096, 4499):
+            np.testing.assert_array_equal(_zeta_rows(12, s[j : j + 1])[:, 0], values[:, j])
+        np.testing.assert_array_equal(riemann_zeta_grid(s), values[0])
 
     def test_grid_domain_errors(self):
         with pytest.raises(DomainError):

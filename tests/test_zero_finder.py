@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzr import (
+    BASE_GRID,
     BRACKET_WIDTH,
     BracketError,
     ExtremumRecord,
@@ -20,6 +21,7 @@ from mzr import (
     find_extrema,
     multizeta,
     refine_root,
+    refine_roots,
     scan_folds,
     scan_interval,
     sign_profile,
@@ -133,6 +135,128 @@ class TestRefineRoot:
         assert record.abscissa == pytest.approx(target, abs=5e-11)
 
 
+def _inject_folds(monkeypatch, f):
+    """Serve every fold of every table from f; returns the table sizes."""
+    sizes = []
+
+    def table(r, s):
+        s = np.asarray(s, dtype=float)
+        sizes.append(s.size)
+        return [f(s)] * (r + 1)
+
+    monkeypatch.setattr(zero_finder, "_fold_table", table)
+    return sizes
+
+
+class TestRefineRoots:
+    def test_batch_equals_single_brackets(self):
+        # Every bracket of `census --r-max 16` gives, field for field, the
+        # record it gives alone.
+        brackets = [
+            (g.r, a, b)
+            for k in range(2, SCAN_R_MAX + 1)
+            for g in zero_finder._scan_grid(k, range(k, SCAN_R_MAX + 1))
+            for a, b in g.brackets
+        ]
+        assert len(brackets) == 228
+        batch = refine_roots(brackets)
+        assert len(batch) == len(brackets)
+        for (r, a, b), record in zip(brackets, batch):
+            assert record == refine_root(r, a, b), (r, a, b)
+
+    def test_empty_batch(self):
+        assert refine_roots([]) == ()
+
+    def test_one_bad_bracket_fails_the_batch(self):
+        with pytest.raises(BracketError):
+            refine_roots([(2, 0.60, 0.65), (2, 0.70, 0.75)])
+        with pytest.raises(ParameterRangeError):
+            refine_roots([(2, 0.60, 0.65), (SCAN_R_MAX + 1, 0.6, 0.7)])
+        with pytest.raises(ParameterRangeError):
+            refine_roots([(2, 0.60, 0.65)], tol=1e-9)
+
+    # The fallback branches, each driven through an injected fold table:
+    # fold values of x - 0.4 below 1/2 and of g(x) above, so a second
+    # bracket (3, 0.35, 0.45) with an ordinary simple root rides along.
+    # Every branch acts on its own bracket only: the batch gives each
+    # bracket the record it gets alone.
+
+    @staticmethod
+    def _solve(monkeypatch, g, bracket, tol=BRACKET_WIDTH):
+        f = lambda x: np.where(x > 0.5, g(x), x - 0.4)
+        sizes = _inject_folds(monkeypatch, f)
+        alone = refine_roots([bracket], tol)[0]
+        calls = list(sizes)
+        pair = refine_roots([bracket, (3, 0.35, 0.45)], tol)
+        assert pair[0] == alone
+        assert pair[1] == refine_roots([(3, 0.35, 0.45)], tol)[0]
+        assert pair[1].abscissa == pytest.approx(0.4, abs=1e-15)
+        return alone, calls
+
+    def test_exact_zero_at_a_subdivision_point(self, monkeypatch):
+        lo, hi = 0.6, 0.7
+        root = lo + (hi - lo) * (5 / 32)  # the fifth point of the first step
+        record, calls = self._solve(monkeypatch, lambda x: x - root, (2, lo, hi))
+        # Endpoints, one subdivision landing on the zero, then the three
+        # widened brackets around it in one table; 0.4 tol already
+        # straddles, so no further subdivision.
+        assert calls[:3] == [2, 31, 6]
+        assert record.bracket_lo < root < record.bracket_hi
+        assert record.abscissa == pytest.approx(root, abs=1e-15)
+
+    def test_repeated_exact_zero_is_an_error(self, monkeypatch):
+        lo, hi = 0.6, 0.7
+        root = lo + (hi - lo) * (5 / 32)
+        # Flat zero of half-width 1e-12: the 0.4 tol bracket does not
+        # straddle, the 2 tol one does, and its subdivision lands on a
+        # zero again.
+        flat = lambda x: np.where(np.abs(x - root) <= 1e-12, 0.0, x - root)
+        _inject_folds(monkeypatch, lambda x: np.where(x > 0.5, flat(x), x - 0.4))
+        with pytest.raises(BracketError, match="keeps landing"):
+            refine_roots([(2, lo, hi)])
+        wide = lambda x: np.where(np.abs(x - root) <= 1e-10, 0.0, x - root)
+        _inject_folds(monkeypatch, lambda x: np.where(x > 0.5, wide(x), x - 0.4))
+        with pytest.raises(BracketError, match="no sign change survives"):
+            refine_roots([(2, lo, hi)])
+
+    def test_collapsed_bracket(self, monkeypatch):
+        # A 3e-13 bracket at tol = 1e-13 comes out of one step 9.4e-15
+        # wide and is re-bracketed at +-0.45 tol around its better end.
+        root = 0.6268
+        record, calls = self._solve(
+            monkeypatch, lambda x: x - root, (2, root - 1e-13, root + 2e-13), tol=1e-13
+        )
+        assert calls[:3] == [2, 31, 2]
+        assert record.bracket_lo < root < record.bracket_hi
+        assert record.bracket_hi - record.bracket_lo <= 1e-13
+
+    def test_rejected_polish(self, monkeypatch):
+        # Clipped at a third of the stencil step, the stencil slope is a
+        # third of the true one: the first Newton step triples the error
+        # and is rejected, so the secant point is reported.
+        root = 0.6268
+        clipped = lambda x: np.clip(x - root, -1e-8 / 3, 1e-8 / 3)
+        record, calls = self._solve(monkeypatch, clipped, (2, 0.6, 0.65))
+        # Secant point with its stencil, one rejected Newton point (with
+        # the stencil it would need next), then the re-centring pair.
+        assert calls[-3:] == [3, 3, 2]
+        assert record.abscissa == pytest.approx(root, abs=1e-15)
+        assert record.residual == abs(record.abscissa - root)
+
+    def test_shallow_crossing(self, monkeypatch):
+        # Two roots 2e-13 apart: the re-centred bracket of half-width
+        # 0.45e-12 spans both and sees no sign change, so the record keeps
+        # its last subdivision cell and re-evaluates its estimate.
+        centre, d = 0.6268, 1e-13
+        record, calls = self._solve(
+            monkeypatch, lambda x: np.abs(x - centre) - d, (2, centre, 0.65)
+        )
+        assert calls[-2:] == [2, 1]
+        assert record.bracket_lo < centre + d < record.bracket_hi
+        assert record.bracket_hi - record.bracket_lo <= BRACKET_WIDTH
+        assert record.residual == abs(abs(record.abscissa - centre) - d)
+
+
 class TestScanInterval:
     def test_double_fold(self):
         scan = scan_interval(2, 2)
@@ -174,26 +298,32 @@ class TestScanInterval:
 
 
 class TestScanFolds:
-    @pytest.mark.parametrize("k", range(2, 11))
+    @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
     def test_shared_scan_equals_single_scans(self, k):
-        scans = scan_folds(k, range(k, 11))
-        assert sorted(scans) == list(range(k, 11))
+        # Up to r = 16 the rows i*s pass 10, where each point takes its own
+        # zeta configuration; one shared by the array would leak between
+        # the fold counts and the brackets of a batch.
+        scans = scan_folds(k, range(k, SCAN_R_MAX + 1))
+        assert sorted(scans) == list(range(k, SCAN_R_MAX + 1))
         for r, scan in scans.items():
             assert scan == scan_interval(r, k), (r, k)
 
     def test_census_makes_one_fold_table_per_interval(self, capsys, monkeypatch):
-        calls = []
-        kernel = multizeta_module.riemann_zeta_grid
+        sizes = []
+        kernel = multizeta_module._zeta_rows
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
+        def counted(r, s, *args, **kwargs):
+            sizes.append(len(s))
+            return kernel(r, s, *args, **kwargs)
 
-        monkeypatch.setattr(multizeta_module, "riemann_zeta_grid", counted)
+        monkeypatch.setattr(multizeta_module, "_zeta_rows", counted)
         assert main(["census", "--r-max", "8"]) == 0
         capsys.readouterr()
-        # Intervals k = 2..8, each one table of 8 folds: 7 * 8 kernel calls.
-        assert len(calls) == 56
+        # Intervals k = 2..8, one scan table of 4g - 3 points each; every
+        # bracket of the run is refined together in a few more tables.
+        scan = [n for n in sizes if n == 4 * BASE_GRID - 3]
+        assert len(scan) == 7
+        assert len(sizes) - len(scan) <= 12
 
     @pytest.mark.parametrize(
         "flipped,counts,stable", [(1, (1, 1, 3, 3), False), (2, (1, 3, 3, 3), True)]
@@ -214,7 +344,9 @@ class TestScanFolds:
             return folds
 
         monkeypatch.setattr(zero_finder, "_fold_table", table)
-        monkeypatch.setattr(zero_finder, "refine_root", lambda r, a, b: (a, b))
+        monkeypatch.setattr(
+            zero_finder, "refine_roots", lambda brackets: tuple((a, b) for _, a, b in brackets)
+        )
         g = 16
         scans = scan_folds(2, [2, 3], base_grid=g)
         assert scans[2].grid_counts == (1, 1, 1)
