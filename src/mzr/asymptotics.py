@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonConvergenceError, ParameterRangeError
+from .errors import NonConvergenceError, ParameterRangeError, _check_int
 from .multizeta import R_MAX, multizeta
 from .riemann_kernel import riemann_zeta
 
@@ -42,14 +42,8 @@ _CONVERGENCE_REL = 1e-2
 
 
 def _check_rk(r: int, k: int) -> None:
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ParameterRangeError(f"fold count must be an integer, got {r!r}")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterRangeError(f"pole index must be an integer, got {k!r}")
-    if not 1 <= r <= R_MAX:
-        raise ParameterRangeError(f"fold count {r} outside [1, {R_MAX}]")
-    if not 1 <= k <= r:
-        raise ParameterRangeError(f"pole index {k} outside [1, {r}]")
+    _check_int(r, "fold count", 1, R_MAX)
+    _check_int(k, "pole index", 1, r)
 
 
 def pole_order(r: int, k: int) -> int:
@@ -203,12 +197,8 @@ def periodicity_check(k: int, q_max: int) -> bool:
 
     to relative 1e-12.  Returns whether every ratio passes.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise ParameterRangeError(f"modulus must be an integer >= 2, got {k!r}")
-    if not isinstance(q_max, int) or isinstance(q_max, bool) or q_max < 2:
-        raise ParameterRangeError(
-            f"need at least two repetitions to compare, got q_max = {q_max!r}"
-        )
+    _check_int(k, "modulus", 2)
+    _check_int(q_max, "need at least two repetitions to compare: q_max", 2)
     if k * (q_max + 1) - 1 > R_MAX:
         raise ParameterRangeError(
             f"k*(q_max+1)-1 = {k * (q_max + 1) - 1} exceeds the fold cap {R_MAX}"

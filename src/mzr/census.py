@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IncompleteInputError, ParameterRangeError
+from .errors import IncompleteInputError, ParameterRangeError, _check_int
 
 __all__ = [
     "EULER_GAMMA",
@@ -34,14 +34,9 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015329
 
 
-def _check_positive(n: int, what: str, minimum: int = 1) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < minimum:
-        raise ParameterRangeError(f"{what} must be an integer >= {minimum}, got {n!r}")
-
-
 def divisor_count(n: int) -> int:
     """Number of positive divisors of n, by trial division up to sqrt(n)."""
-    _check_positive(n, "argument")
+    _check_int(n, "argument", 1)
     count = 0
     root = math.isqrt(n)
     for i in range(1, root + 1):
@@ -54,7 +49,7 @@ def divisor_count(n: int) -> int:
 
 def iaz_predicted(r: int) -> int:
     """Conjectured total zero count F(r) = sum_{k=2}^{r} floor(r/k)."""
-    _check_positive(r, "fold count")
+    _check_int(r, "fold count", 1)
     if r == 1:
         return 0
     return int(np.sum(r // np.arange(2, r + 1)))
@@ -66,7 +61,7 @@ def iaz_predicted_range(r_max: int) -> np.ndarray:
     Each entry is its own floor-division sum; nothing is derived from the
     divisor function, so the identity tests compare independent paths.
     """
-    _check_positive(r_max, "upper bound")
+    _check_int(r_max, "upper bound", 1)
     out = np.zeros(r_max + 1, dtype=np.int64)
     for r in range(2, r_max + 1):
         out[r] = np.sum(r // np.arange(2, r + 1))
@@ -75,7 +70,7 @@ def iaz_predicted_range(r_max: int) -> np.ndarray:
 
 def divisor_identity_check(r: int) -> bool:
     """Exact check of F(r) = (sum_{l<=r} d(l)) - r."""
-    _check_positive(r, "fold count")
+    _check_int(r, "fold count", 1)
     left = iaz_predicted(r)
     right = sum(divisor_count(ell) for ell in range(1, r + 1)) - r
     return left == right
@@ -83,21 +78,21 @@ def divisor_identity_check(r: int) -> bool:
 
 def iaz_asymptotic(r: int) -> float:
     """Leading asymptotic of the total count: r ln r - 2 (1 - gamma) r."""
-    _check_positive(r, "fold count", minimum=2)
+    _check_int(r, "fold count", 2)
     return r * math.log(r) - 2.0 * (1.0 - EULER_GAMMA) * r
 
 
 def delta_F(r: int) -> int:
     """Increment of the conjectured count: F(r) - F(r-1) = d(r) - 1,
     evaluated through the divisor function."""
-    _check_positive(r, "fold count", minimum=2)
+    _check_int(r, "fold count", 2)
     return divisor_count(r) - 1
 
 
 def delta_F_direct(r: int) -> int:
     """The same increment evaluated directly as F(r) - F(r-1); kept as an
     independent cross-check of `delta_F`."""
-    _check_positive(r, "fold count", minimum=2)
+    _check_int(r, "fold count", 2)
     return iaz_predicted(r) - iaz_predicted(r - 1)
 
 
@@ -145,7 +140,7 @@ def census_report(r: int, empirical: Mapping[int, int]) -> CensusReport:
     `empirical` must map every interval index k = 2..r (and nothing else)
     to the scanned zero count.
     """
-    _check_positive(r, "fold count", minimum=2)
+    _check_int(r, "fold count", 2)
     expected_keys = set(range(2, r + 1))
     keys = set(empirical.keys())
     if keys != expected_keys:

@@ -50,6 +50,7 @@ from .errors import (
     NonConvergenceError,
     ParameterRangeError,
     PoleProximityError,
+    _check_int,
 )
 from .multizeta import (
     R_MAX,
@@ -104,10 +105,8 @@ class PlotSeries:
 def build_plot_series(r: int, s_from: float, s_to: float, points: int) -> PlotSeries:
     """Sample the r-fold function uniformly on [s_from, s_to], skipping a
     guard gap of half-width delta_exclusion(k) around every pole 1/k."""
-    if not isinstance(r, int) or isinstance(r, bool) or not 1 <= r <= R_MAX:
-        raise ParameterRangeError(f"fold count {r!r} outside [1, {R_MAX}]")
-    if not isinstance(points, int) or isinstance(points, bool) or points < 2:
-        raise ParameterRangeError(f"need at least 2 sample points, got {points!r}")
+    _check_int(r, "fold count", 1, R_MAX)
+    _check_int(points, "need at least 2 sample points: points", 2)
     s_from, s_to = float(s_from), float(s_to)
     if not 0.0 < s_from < s_to:
         raise DomainError(
@@ -351,7 +350,6 @@ def _verify_kernel() -> list[dict]:
         doubled = EulerMaclaurinConfig(
             direct_terms=2 * cfg.direct_terms,
             correction_terms=cfg.correction_terms,
-            target_rel_error=cfg.target_rel_error,
         )
         a, b = riemann_zeta(s, cfg), riemann_zeta(s, doubled)
         worst = max(worst, abs(a - b) / abs(b))

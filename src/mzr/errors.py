@@ -2,6 +2,7 @@
 
 Everything that rejects bad input derives from ValueError so callers can
 catch broadly, while the CLI maps the specific classes onto exit codes.
+`_check_int` is the one validator of integer parameters.
 """
 from __future__ import annotations
 
@@ -53,3 +54,13 @@ class NonConvergenceError(ArithmeticError):
     def __init__(self, message: str, estimates: tuple[float, ...] = ()):
         self.estimates = estimates
         super().__init__(message)
+
+
+def _check_int(value, what: str, lo: int, hi: int | None = None) -> None:
+    """Raise ParameterRangeError, its message led by `what`, unless value
+    is an int (a bool is not) in [lo, hi], or at least lo without hi."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if lo <= value and (hi is None or value <= hi):
+            return
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ParameterRangeError(f"{what} must be an integer {bound}, got {value!r}")

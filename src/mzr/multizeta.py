@@ -22,12 +22,12 @@ from .errors import (
     EmptySumError,
     ParameterRangeError,
     PoleProximityError,
+    _check_int,
 )
 from .riemann_kernel import POLE_GUARD_RADIUS, _zeta_rows, riemann_zeta
 
 __all__ = [
     "R_MAX",
-    "MultiZetaValue",
     "SymmetricFunctionState",
     "multizeta",
     "multizeta_grid",
@@ -41,13 +41,6 @@ __all__ = [
 # Fold-count ceiling; the recursion is O(r^2) so this is far from a
 # performance limit, it just bounds the pole bookkeeping.
 R_MAX = 32
-
-
-def _check_r(r: int, upper: int = R_MAX) -> None:
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ParameterRangeError(f"fold count must be an integer, got {r!r}")
-    if not 1 <= r <= upper:
-        raise ParameterRangeError(f"fold count {r} outside [1, {upper}]")
 
 
 def nearest_pole(r: int, s: float) -> tuple[int, int] | None:
@@ -70,19 +63,6 @@ def _check_abscissa(r: int, s: float) -> None:
 
 
 @dataclass(frozen=True)
-class MultiZetaValue:
-    """One evaluated point of the r-fold function."""
-
-    r: int
-    s: float
-    value: float
-
-    def __post_init__(self):
-        _check_r(self.r)
-        _check_abscissa(self.r, self.s)
-
-
-@dataclass(frozen=True)
 class SymmetricFunctionState:
     """Elementary symmetric functions and power sums of one finite input."""
 
@@ -96,18 +76,26 @@ def multizeta(r: int, s: float) -> float:
     Raises PoleProximityError (naming k and the pole order) within the
     guard radius of any 1/k, k <= r.
     """
-    _check_r(r)
+    _check_int(r, "fold count", 1, R_MAX)
     s = float(s)
     _check_abscissa(r, s)
     # zeta(i*s) for i = 1..r, computed once per call (kept local for purity).
-    zs = [riemann_zeta(i * s) for i in range(1, r + 1)]
-    folds = [1.0]
-    for j in range(1, r + 1):
+    return _newton([riemann_zeta(i * s) for i in range(1, r + 1)])[r]
+
+
+def _newton(p, one=1.0) -> list:
+    """e_0 .. e_r from the power sums p_1 .. p_r by the Newton identities
+
+        j e_j = sum_{i=1}^{j} (-1)^(i-1) e_{j-i} p_i,   e_0 = one,
+
+    on floats or, with `one` an array of ones, elementwise on arrays."""
+    e = [one]
+    for j in range(1, len(p) + 1):
         acc = 0.0
         for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * folds[j - i] * zs[i - 1]
-        folds.append(acc / j)
-    return folds[r]
+            acc += (-1) ** (i - 1) * e[j - i] * p[i - 1]
+        e.append(acc / j)
+    return e
 
 
 def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
@@ -118,7 +106,7 @@ def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
     for i = 1..r comes from one `_zeta_rows` call and the recursion runs
     once; entry j is the j-fold function on the grid.
     """
-    _check_r(r)
+    _check_int(r, "fold count", 1, R_MAX)
     s = np.asarray(s, dtype=float)
     if s.size == 0:
         return [np.empty(0, dtype=float) for _ in range(r + 1)]
@@ -130,14 +118,7 @@ def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
         near = np.abs(s - 1.0 / k) < POLE_GUARD_RADIUS
         if near.any():
             raise PoleProximityError(k=k, order=r // k, s=float(s[near][0]))
-    zs = _zeta_rows(r, s)
-    folds = [np.ones_like(s)]
-    for j in range(1, r + 1):
-        acc = np.zeros_like(s)
-        for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * folds[j - i] * zs[i - 1]
-        folds.append(acc / j)
-    return folds
+    return _newton(_zeta_rows(r, s), np.ones_like(s))
 
 
 def multizeta_grid(r: int, s: np.ndarray) -> np.ndarray:
@@ -159,8 +140,7 @@ def closed_form(r: int, s: float) -> float:
 
     Independent of the recursion; the two must agree to rounding error.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r not in (2, 3, 4):
-        raise ParameterRangeError(f"closed forms exist here only for r in {{2,3,4}}, got {r!r}")
+    _check_int(r, "closed forms exist here only for r in {2,3,4}: r", 2, 4)
     s = float(s)
     _check_abscissa(r, s)
     z1 = riemann_zeta(s)
@@ -182,9 +162,8 @@ def truncated_euler_zagier(r: int, s: float, n: int) -> float:
     outside absolute convergence the truncation does not approximate the
     continued function, so it refuses rather than misleads.
     """
-    _check_r(r)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParameterRangeError(f"term count must be a positive integer, got {n!r}")
+    _check_int(r, "fold count", 1, R_MAX)
+    _check_int(n, "term count", 1)
     if n < r:
         raise EmptySumError(
             f"no increasing {r}-tuple fits inside [1, {n}]"
@@ -195,21 +174,13 @@ def truncated_euler_zagier(r: int, s: float, n: int) -> float:
             f"truncated sums are an oracle for the region s > 1 only (s = {s!r})"
         )
     m = np.arange(1, n + 1, dtype=float)
-    power = [float(np.sum(m ** (-i * s))) for i in range(1, r + 1)]
-    elem = [1.0]
-    for j in range(1, r + 1):
-        acc = 0.0
-        for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * elem[j - i] * power[i - 1]
-        elem.append(acc / j)
-    return elem[r]
+    return _newton([float(np.sum(m ** (-i * s))) for i in range(1, r + 1)])[r]
 
 
 def symmetric_state(x: Sequence[float], r: int) -> SymmetricFunctionState:
     """Elementary symmetric functions e_0..e_r (by the product expansion,
     not the identities) and power sums p_1..p_r of the input."""
-    if not isinstance(r, int) or isinstance(r, bool) or r < 1:
-        raise ParameterRangeError(f"order must be a positive integer, got {r!r}")
+    _check_int(r, "order", 1)
     vals = [float(v) for v in x]
     if r > len(vals):
         raise ParameterRangeError(

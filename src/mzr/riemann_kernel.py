@@ -22,15 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ParameterRangeError, PoleProximityError
+from .errors import DomainError, ParameterRangeError, PoleProximityError, _check_int
 
 __all__ = [
     "M_MAX",
     "POLE_GUARD_RADIUS",
-    "BernoulliTable",
     "EulerMaclaurinConfig",
     "bernoulli",
-    "bernoulli_table",
     "default_config",
     "riemann_zeta",
     "riemann_zeta_grid",
@@ -45,14 +43,8 @@ M_MAX = 30
 POLE_GUARD_RADIUS = 1e-8
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact Bernoulli numbers B_0 .. B_{2*M_MAX}, convention B_1 = -1/2."""
-
-    values: tuple[Fraction, ...]
-
-
-def _build_table(n_max: int) -> BernoulliTable:
+def _build_table(n_max: int) -> tuple[Fraction, ...]:
+    """Exact Bernoulli numbers B_0 .. B_n_max, convention B_1 = -1/2."""
     # Defining recurrence: sum_{j=0}^{n} C(n+1, j) B_j = 0 for n >= 1,
     # solved for B_n; exact rationals so no rounding accumulates.
     values = [Fraction(1)]
@@ -61,29 +53,21 @@ def _build_table(n_max: int) -> BernoulliTable:
         for j in range(n):
             acc += math.comb(n + 1, j) * values[j]
         values.append(-acc / (n + 1))
-    return BernoulliTable(tuple(values))
+    return tuple(values)
 
 
 _TABLE = _build_table(2 * M_MAX)
 
 # Float weights B_{2j}/(2j)! for the correction sum, j = 0..M_MAX.
 _CORRECTION_WEIGHT = tuple(
-    float(_TABLE.values[2 * j]) / math.factorial(2 * j) for j in range(M_MAX + 1)
+    float(_TABLE[2 * j]) / math.factorial(2 * j) for j in range(M_MAX + 1)
 )
-
-
-def bernoulli_table() -> BernoulliTable:
-    """Return the shared immutable table of exact Bernoulli numbers."""
-    return _TABLE
 
 
 def bernoulli(n: int) -> Fraction:
     """Return B_n as an exact rational, for 0 <= n <= 2*M_MAX."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParameterRangeError(f"index must be an integer, got {n!r}")
-    if n < 0 or n > 2 * M_MAX:
-        raise ParameterRangeError(f"index {n} outside table range [0, {2 * M_MAX}]")
-    return _TABLE.values[n]
+    _check_int(n, "index", 0, 2 * M_MAX)
+    return _TABLE[n]
 
 
 @dataclass(frozen=True)
@@ -92,7 +76,6 @@ class EulerMaclaurinConfig:
 
     direct_terms: int
     correction_terms: int
-    target_rel_error: float = 1e-13
 
     def __post_init__(self):
         if self.direct_terms < 2:
@@ -101,8 +84,6 @@ class EulerMaclaurinConfig:
             raise ParameterRangeError(
                 f"correction_terms must lie in [1, {M_MAX}]"
             )
-        if not 0.0 < self.target_rel_error < 1.0:
-            raise ParameterRangeError("target_rel_error must lie in (0, 1)")
 
 
 # Correction terms of the default configuration.

@@ -11,6 +11,10 @@ every open bracket and evaluates all their points in one fold table.
 Near-zero grid values without an adjacent sign change are reported as
 suspected tangencies rather than silently dropped: an even-order zero
 would look exactly like that.
+
+Extrema go through the same solver: they are the zeros of the
+central-difference derivative, whose grid sign changes are subdivided
+exactly as the zeros' are, and a sign change from - to + is a minimum.
 """
 from __future__ import annotations
 
@@ -21,8 +25,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BracketError, ParameterRangeError
-from .multizeta import _fold_table, multizeta, multizeta_grid
+from .errors import BracketError, ParameterRangeError, _check_int
+from .multizeta import _fold_table, multizeta_grid
 
 __all__ = [
     "SCAN_R_MAX",
@@ -52,7 +56,8 @@ BASE_GRID = 4096
 # Target width of a refined bracket.
 BRACKET_WIDTH = 1e-12
 
-# Step of the symmetric difference used for extremum detection.
+# Step of the central-difference derivative whose sign changes are the
+# extrema.
 DERIVATIVE_STEP = 1e-6
 
 # Grid values below this magnitude with no adjacent sign change are
@@ -62,8 +67,6 @@ TANGENCY_DIP = 1e-6
 # Cells per subdivision step: a 3e-5 scan cell reaches 1e-12 in five
 # steps, and one step of every bracket is one fold table.
 _SUBDIVISIONS = 32
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Stencil half-width for the post-bracketing Newton polish: wide enough
 # that the probed values clear the evaluation noise floor.
@@ -76,8 +79,7 @@ def delta_exclusion(k: int) -> float:
     Proportional to the width of the interval just above 1/k (for k = 1,
     the interval just below 1 is used), floored at 1e-6.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ParameterRangeError(f"asymptote index must be a positive integer, got {k!r}")
+    _check_int(k, "asymptote index", 1)
     width = 1.0 / (k - 1) - 1.0 / k if k >= 2 else 0.5
     return max(1e-4 * width, 1e-6)
 
@@ -161,9 +163,6 @@ class IntervalScan:
     def __len__(self) -> int:
         return len(self.zeros)
 
-    def __getitem__(self, i):
-        return self.zeros[i]
-
 
 @dataclass(frozen=True)
 class SignProfile:
@@ -177,14 +176,8 @@ class SignProfile:
 
 
 def _check_interval(r: int, k: int) -> None:
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ParameterRangeError(f"fold count must be an integer, got {r!r}")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParameterRangeError(f"interval index must be an integer, got {k!r}")
-    if not 2 <= r <= SCAN_R_MAX:
-        raise ParameterRangeError(f"fold count {r} outside [2, {SCAN_R_MAX}]")
-    if not 2 <= k <= r:
-        raise ParameterRangeError(f"interval index {k} outside [2, {r}]")
+    _check_int(r, "fold count", 2, SCAN_R_MAX)
+    _check_int(k, "interval index", 2, r)
 
 
 def _interval_bounds(k: int) -> tuple[float, float]:
@@ -204,8 +197,25 @@ def _fold_values(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return table[rows, np.arange(x.size)].reshape(x.shape)
 
 
+def _derivative_values(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Central-difference derivative of fold r[j] at every point of row j
+    of x, step DERIVATIVE_STEP; both stencil points in one fold table."""
+    h = DERIVATIVE_STEP
+    f = _fold_values(r, np.concatenate([x + h, x - h], axis=1))
+    w = x.shape[1]
+    return (f[:, :w] - f[:, w:]) / (2.0 * h)
+
+
 def _straddles(f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
     return (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0.0) != (f_hi > 0.0))
+
+
+def _secant(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Secant point of each bracket, or its midpoint where the secant
+    point falls outside (as where a bracket closed on an exact zero)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = a - fa * (b - a) / (fb - fa)
+    return np.where((a < x) & (x < b), x, 0.5 * (a + b))
 
 
 def _rebracket(r: np.ndarray, centre: np.ndarray, widths: np.ndarray):
@@ -222,45 +232,31 @@ def _rebracket(r: np.ndarray, centre: np.ndarray, widths: np.ndarray):
 
 
 def _subdivide(
-    r: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, tol: float
+    values, r: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+    tol: float,
 ) -> None:
     """Shrink every bracket wider than tol, in place, to its first
     sign-change cell among _SUBDIVISIONS equal cells, all brackets per
-    fold table.  A subdivision point that evaluates to exactly zero is
-    re-bracketed at the tolerance scale, once per bracket."""
+    fold table.  `values(r, x)` evaluates row j of x for fold count r[j]:
+    `_fold_values` for zeros, `_derivative_values` for extrema.  A
+    subdivision point that evaluates to exactly zero closes its bracket
+    on itself: both ends move to it, with value 0."""
     fractions = np.arange(1, _SUBDIVISIONS) / _SUBDIVISIONS
-    rebracketed = np.zeros(a.size, dtype=bool)
     while True:
         idx = np.nonzero(b - a > tol)[0]
         if idx.size == 0:
             return
         inner = a[idx, None] + (b - a)[idx, None] * fractions
         x = np.column_stack([a[idx], inner, b[idx]])
-        f = np.column_stack([fa[idx], _fold_values(r[idx], inner), fb[idx]])
+        f = np.column_stack([fa[idx], values(r[idx], inner), fb[idx]])
         # The first point whose sign leaves that of the left end closes the
-        # first sign-change cell, unless it is an exact zero.
+        # first sign-change cell; an exact zero closes it on itself.
         j = np.argmax(np.sign(f[:, 1:]) != np.sign(f[:, :1]), axis=1) + 1
         rows = np.arange(idx.size)
         a[idx], fa[idx] = x[rows, j - 1], f[rows, j - 1]
         b[idx], fb[idx] = x[rows, j], f[rows, j]
         zero = idx[fb[idx] == 0.0]
-        if zero.size == 0:
-            continue
-        again = zero[rebracketed[zero]]
-        if again.size:
-            raise BracketError(
-                f"iteration keeps landing on an exact zero near {float(b[again[0]])!r}"
-            )
-        found, lo, hi, flo, fhi = _rebracket(
-            r[zero], b[zero], np.array([0.4, 2.0, 16.0]) * tol
-        )
-        if not found.all():
-            root = float(b[zero][~found][0])
-            raise BracketError(
-                f"no sign change survives around the exact zero at {root!r}"
-            )
-        a[zero], b[zero], fa[zero], fb[zero] = lo, hi, flo, fhi
-        rebracketed[zero] = True
+        a[zero], fa[zero] = b[zero], 0.0
 
 
 def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]:
@@ -283,8 +279,7 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
         )
     rs, ks, los, his = [], [], [], []
     for r, bracket_lo, bracket_hi in brackets:
-        if not isinstance(r, int) or isinstance(r, bool) or not 2 <= r <= SCAN_R_MAX:
-            raise ParameterRangeError(f"fold count {r!r} outside [2, {SCAN_R_MAX}]")
+        _check_int(r, "fold count", 2, SCAN_R_MAX)
         lo, hi = float(bracket_lo), float(bracket_hi)
         if not lo < hi:
             raise BracketError(f"bracket [{lo!r}, {hi!r}] is not increasing")
@@ -311,7 +306,27 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
             f"endpoints do not straddle a sign change: f({los[i]!r}) = "
             f"{float(fa[i])!r}, f({his[i]!r}) = {float(fb[i])!r}"
         )
-    _subdivide(r, a, b, fa, fb, tol)
+    _subdivide(_fold_values, r, a, b, fa, fb, tol)
+    zero = np.nonzero(fb == 0.0)[0]
+    if zero.size:
+        # A record needs a strict sign change: a bracket closed on an
+        # exact zero is re-bracketed at the tolerance scale and shrunk
+        # again, once.
+        found, lo, hi, flo, fhi = _rebracket(
+            r[zero], b[zero], np.array([0.4, 2.0, 16.0]) * tol
+        )
+        if not found.all():
+            root = float(b[zero][~found][0])
+            raise BracketError(
+                f"no sign change survives around the exact zero at {root!r}"
+            )
+        a[zero], b[zero], fa[zero], fb[zero] = lo, hi, flo, fhi
+        _subdivide(_fold_values, r, a, b, fa, fb, tol)
+        again = np.nonzero(fb == 0.0)[0]
+        if again.size:
+            raise BracketError(
+                f"iteration keeps landing on an exact zero near {float(b[again[0]])!r}"
+            )
     half = 0.45 * tol
     collapsed = np.nonzero(b - a < 1e-14)[0]
     if collapsed.size:
@@ -333,8 +348,7 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
     # bracket); the polish slope is taken on a stencil wide enough to
     # clear the noise floor.  The stencil of a step is evaluated with the
     # point it belongs to.
-    secant = a - fa * (b - a) / (fb - fa)
-    secant = np.where((a < secant) & (secant < b), secant, 0.5 * (a + b))
+    secant = _secant(a, b, fa, fb)
     stencil = np.array([0.0, -_POLISH_STEP, _POLISH_STEP])
     f = _fold_values(r, secant[:, None] + stencil)
     x, fx, f_minus, f_plus = secant.copy(), f[:, 0], f[:, 1], f[:, 2]
@@ -365,13 +379,10 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
     shallow = np.nonzero(~held)[0]
     if shallow.size:
         # Shallow or noisy crossing: keep the final bracket and the best
-        # estimate it contains.
+        # estimate it contains (its secant point is inside by construction).
         s = shallow
         inside = (a[s] < best[s]) & (best[s] < b[s])
-        fallback = np.where(
-            (a[s] < secant[s]) & (secant[s] < b[s]), secant[s], 0.5 * (a[s] + b[s])
-        )
-        best[s] = np.where(inside, best[s], fallback)
+        best[s] = np.where(inside, best[s], secant[s])
         residual[s] = np.abs(_fold_values(r[s], best[s, None])[:, 0])
     return tuple(
         ZeroRecord(
@@ -447,8 +458,7 @@ def _scan_grid(k: int, r_values, base_grid: int = BASE_GRID) -> list[_GridScan]:
     for r in r_values:
         _check_interval(r, k)
     r_values = sorted(set(r_values))
-    if not isinstance(base_grid, int) or isinstance(base_grid, bool) or base_grid < 16:
-        raise ParameterRangeError(f"grid must be an integer >= 16, got {base_grid!r}")
+    _check_int(base_grid, "grid", 16)
     lo, hi = _interval_bounds(k)
     s = np.linspace(lo, hi, 4 * base_grid - 3)
     table = _fold_table(r_values[-1], s)
@@ -534,66 +544,55 @@ def scan_interval(r: int, k: int, base_grid: int = BASE_GRID) -> IntervalScan:
     return scan_folds(k, [r], base_grid)[r]
 
 
-def _golden_minimum(g, a: float, b: float, xtol: float) -> float:
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    gc, gd = g(c), g(d)
-    while b - a > xtol:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - _INV_PHI * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _INV_PHI * (b - a)
-            gd = g(d)
-    return 0.5 * (a + b)
-
-
 def find_extrema(r: int, k: int, base_grid: int = BASE_GRID) -> tuple[ExtremumRecord, ...]:
     """Locate the local extrema of the r-fold function in (1/k, 1/(k-1)).
 
-    Sign changes of the symmetric finite-difference derivative on the scan
-    grid seed a golden-section refinement; minima and maxima are told apart
-    by the second difference at the refined point.
+    The extrema are the zeros of the central-difference derivative
+    (F(x + h) - F(x - h)) / 2h, h = DERIVATIVE_STEP, found by the zero
+    solver: its sign changes on a grid of base_grid (an integer >= 16)
+    points are shrunk together to BRACKET_WIDTH by the subdivision
+    `refine_roots` uses, with both stencil points of every step in one
+    fold table, and each abscissa is the secant point of its final
+    bracket, or the subdivision point where the derivative came out
+    exactly zero.  A derivative that changes sign from - to + marks a
+    minimum, from + to - a maximum.  The values come from one fold table
+    over all the abscissas.
     """
     _check_interval(r, k)
+    _check_int(base_grid, "grid", 16)
     h = DERIVATIVE_STEP
     lo, hi = _interval_bounds(k)
     # The stencil reaches h beyond the grid, so pull the grid in by h.
     s = np.linspace(lo + h, hi - h, base_grid)
-    f_plus = multizeta_grid(r, s + h)
-    f_minus = multizeta_grid(r, s - h)
-    deriv = (f_plus - f_minus) / (2.0 * h)
+    deriv = _derivative_values(np.array([r]), s[None, :])[0]
     sign = np.sign(deriv)
     cells = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    records = []
-    for i in cells.tolist():
-        a, b = float(s[i]), float(s[i + 1])
-        rising = deriv[i] < 0.0  # function falls then rises: a minimum
-        if rising:
-            target = lambda x: multizeta(r, x)
-        else:
-            target = lambda x: -multizeta(r, x)
-        x = _golden_minimum(target, a, b, 1e-10)
-        curvature = (
-            multizeta(r, x - h) - 2.0 * multizeta(r, x) + multizeta(r, x + h)
+    if cells.size == 0:
+        return ()
+    rs = np.full(cells.size, r)
+    a, b = s[cells], s[cells + 1]
+    fa, fb = deriv[cells], deriv[cells + 1]
+    minimum = fa < 0.0
+    _subdivide(_derivative_values, rs, a, b, fa, fb, BRACKET_WIDTH)
+    x = _secant(a, b, fa, fb)
+    value = _fold_values(rs, x[:, None])[:, 0]
+    return tuple(
+        ExtremumRecord(
+            r=r,
+            k=k,
+            abscissa=float(x[i]),
+            value=float(value[i]),
+            kind="minimum" if minimum[i] else "maximum",
         )
-        kind = "minimum" if curvature > 0.0 else "maximum"
-        records.append(
-            ExtremumRecord(r=r, k=k, abscissa=x, value=multizeta(r, x), kind=kind)
-        )
-    records.sort(key=lambda rec: rec.abscissa)
-    return tuple(records)
+        for i in range(cells.size)
+    )
 
 
 def sign_profile(r: int, grid: int = 200) -> SignProfile:
     """Check that the r-fold function keeps the sign (-1)^r on
     [0, 1/r - 1e-6] sampled at `grid` points."""
-    if not isinstance(r, int) or isinstance(r, bool) or not 1 <= r <= SCAN_R_MAX:
-        raise ParameterRangeError(f"fold count {r!r} outside [1, {SCAN_R_MAX}]")
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 2:
-        raise ParameterRangeError(f"grid must be an integer >= 2, got {grid!r}")
+    _check_int(r, "fold count", 1, SCAN_R_MAX)
+    _check_int(grid, "grid", 2)
     s = np.linspace(0.0, 1.0 / r - 1e-6, grid)
     v = multizeta_grid(r, s)
     expected = 1 if r % 2 == 0 else -1

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mzr import (
     DomainError,
     EmptySumError,
-    MultiZetaValue,
     ParameterRangeError,
     PoleProximityError,
     R_MAX,
@@ -129,14 +128,6 @@ class TestPoleGuard:
         assert nearest_pole(3, 0.5 + 5e-9) == (2, 1)
         assert nearest_pole(3, 0.75) is None
         assert nearest_pole(2, 1.0) == (1, 2)
-
-    def test_value_record_validates(self):
-        record = MultiZetaValue(r=2, s=2.0, value=0.8117424252833536)
-        assert record.r == 2
-        with pytest.raises(PoleProximityError):
-            MultiZetaValue(r=2, s=0.5, value=0.0)
-        with pytest.raises(ParameterRangeError):
-            MultiZetaValue(r=0, s=2.0, value=1.0)
 
 
 class TestClosedForms:

@@ -264,7 +264,7 @@ class TestScanInterval:
         assert scan.count_stable
         assert scan.grid_counts == (1, 1, 1)
         assert scan.tangency_suspects == ()
-        assert scan[0].abscissa == pytest.approx(0.6268175537730932, abs=1e-10)
+        assert scan.zeros[0].abscissa == pytest.approx(0.6268175537730932, abs=1e-10)
 
     @pytest.mark.parametrize("rk,expected", sorted(KNOWN_ZEROS.items()))
     def test_known_intervals(self, rk, expected):
@@ -284,7 +284,7 @@ class TestScanInterval:
     def test_iteration_protocol(self):
         scan = scan_interval(4, 2)
         assert [z.abscissa for z in scan] == [z.abscissa for z in scan.zeros]
-        assert scan[1].abscissa > scan[0].abscissa
+        assert scan.zeros[1].abscissa > scan.zeros[0].abscissa
 
     def test_interval_validation(self):
         with pytest.raises(ParameterRangeError):
@@ -413,6 +413,64 @@ class TestFindExtrema:
         assert all(
             a.abscissa < b.abscissa for a, b in zip(records, records[1:])
         )
+
+    @pytest.mark.parametrize("bad", [1, 15, -5, 2.5, True, None])
+    def test_grid_validation(self, bad):
+        with pytest.raises(ParameterRangeError):
+            find_extrema(6, 2, base_grid=bad)
+
+    def test_against_mpmath_derivative(self):
+        # Every extremum for r = 4..8 within 1e-10 of the root of the
+        # derivative of the recursion at 20 digits (mpmath's zeta and
+        # zeta').  Golden-section search on the function left 1.4e-9.
+        mpmath = pytest.importorskip("mpmath")
+
+        def derivative(r, x):
+            zs = [mpmath.zeta(i * x) for i in range(1, r + 1)]
+            dzs = [i * mpmath.zeta(i * x, derivative=1) for i in range(1, r + 1)]
+            e, de = [mpmath.mpf(1)], [mpmath.mpf(0)]
+            for j in range(1, r + 1):
+                acc = dacc = 0
+                for i in range(1, j + 1):
+                    sign = (-1) ** (i - 1)
+                    acc += sign * e[j - i] * zs[i - 1]
+                    dacc += sign * (de[j - i] * zs[i - 1] + e[j - i] * dzs[i - 1])
+                e.append(acc / j)
+                de.append(dacc / j)
+            return de[r]
+
+        count = 0
+        with mpmath.workdps(20):
+            for r in range(4, 9):
+                for k in range(2, r + 1):
+                    for record in find_extrema(r, k):
+                        x = mpmath.mpf(record.abscissa)
+                        root = mpmath.findroot(
+                            lambda t: derivative(r, t), (x - 1e-9, x + 1e-9), solver="secant"
+                        )
+                        assert abs(float(root) - record.abscissa) <= 1e-10, (r, k)
+                        count += 1
+        assert count == 13
+
+    def test_exact_zero_of_the_derivative(self, monkeypatch):
+        # A fold table whose central difference is exactly zero at the
+        # fifth point of the first subdivision of one scan cell, and of the
+        # sign of x - c everywhere else it is evaluated.
+        h = zero_finder.DERIVATIVE_STEP
+        lo = 0.5 + delta_exclusion(2)
+        hi = 1.0 - delta_exclusion(1)
+        s = np.linspace(lo + h, hi - h, BASE_GRID)
+        a, b = s[1000], s[1001]
+        c = a + (b - a) * (5 / 32)
+        sizes = _inject_folds(monkeypatch, lambda x: np.round((x - c) / h) ** 2)
+        records = find_extrema(4, 2)
+        # The grid with both stencils in one table, one subdivision that
+        # lands on the zero and closes the bracket there, then the values.
+        assert sizes == [2 * BASE_GRID, 2 * 31, 1]
+        assert len(records) == 1
+        assert records[0].abscissa == c
+        assert records[0].kind == "minimum"
+        assert records[0].value == 0.0
 
 
 class TestSignProfile:
