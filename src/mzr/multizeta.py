@@ -12,6 +12,7 @@ cross-checks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,7 +54,7 @@ def nearest_pole(r: int, s: float) -> tuple[int, int] | None:
 
 
 def _check_abscissa(r: int, s: float) -> None:
-    if np.isnan(s) or np.isinf(s):
+    if math.isnan(s) or math.isinf(s):
         raise DomainError(f"abscissa must be finite, got {s!r}")
     if s < 0.0:
         raise DomainError(f"negative axis is out of scope (s = {s!r})")
@@ -88,12 +89,17 @@ def _newton(p, one=1.0) -> list:
 
         j e_j = sum_{i=1}^{j} (-1)^(i-1) e_{j-i} p_i,   e_0 = one,
 
-    on floats or, with `one` an array of ones, elementwise on arrays."""
+    on floats or, with `one` an array of ones, elementwise on arrays.
+    Takes p over: p_2, p_4, ... are negated in place, which is exact, so
+    each unsigned term is bit for bit the signed one, and a fold table
+    keeps no second copy of its rows."""
+    for i in range(1, len(p), 2):
+        p[i] = -p[i]
     e = [one]
     for j in range(1, len(p) + 1):
         acc = 0.0
-        for i in range(1, j + 1):
-            acc += (-1) ** (i - 1) * e[j - i] * p[i - 1]
+        for e_ji, p_i in zip(reversed(e), p):  # i = 1..j
+            acc += e_ji * p_i
         e.append(acc / j)
     return e
 

@@ -22,6 +22,7 @@ from mzr import (
     iaz_predicted,
     iaz_predicted_range,
 )
+from mzr.census import _divisor_total
 
 
 class TestDivisorCount:
@@ -56,6 +57,17 @@ class TestPredictedTotals:
         for r in range(2, 65):
             assert table[r] == iaz_predicted(r)
 
+    def test_range_version_matches_floor_division_loop(self):
+        # Each F(r) as its own O(r) floor-division sum, O(R^2) in all.
+        reference = np.zeros(10_002, dtype=np.int64)
+        for r in range(2, reference.size):
+            reference[r] = np.sum(r // np.arange(2, r + 1))
+        for top in [*range(1, 3001), 9_999, 10_000, 10_001]:
+            table = iaz_predicted_range(top)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, reference[: top + 1]), top
+        assert reference[10_000] == 83_668
+
 
 class TestDivisorIdentity:
     def test_printed_examples(self):
@@ -64,6 +76,13 @@ class TestDivisorIdentity:
 
     def test_small_sweep(self):
         assert all(divisor_identity_check(r) for r in range(1, 201))
+
+    def test_divisor_total_equals_sum_of_counts(self):
+        cumulative = 0
+        for r in range(1, 2001):
+            cumulative += divisor_count(r)
+            assert _divisor_total(r) == cumulative, r
+        assert _divisor_total(10_000) == 93_668
 
     def test_six_by_hand(self):
         # d(1..6) = 1, 2, 2, 3, 2, 4 sums to 14; F(6) = 14 - 6 = 8.

@@ -3,6 +3,7 @@ the r = 2..4 closed forms, the truncated-sum oracle on the absolutely
 convergent region, and the finite Newton-identity machinery."""
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mzr import (
     symmetric_state,
     truncated_euler_zagier,
 )
+from mzr.riemann_kernel import _zeta_rows, bernoulli, default_config
 
 # Frozen values from a 40-digit independent evaluation: (r, s) -> value.
 MULTIZETA_SPOTS = {
@@ -100,6 +102,70 @@ class TestRecursionValues:
         with pytest.raises(ParameterRangeError):
             multizeta(R_MAX + 1, 2.0)
         assert math.isfinite(multizeta(R_MAX, 2.0))
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("r,s", [(16, 2.0), (16, 3.0), (32, 2.0)])
+    def test_deep_cancellation_against_mpmath(self, r, s):
+        # The float recursion cancels O(1) terms down to 1e-22 .. 1e-60;
+        # the same recursion at 120 digits is the reference.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(120):
+            p = [mpmath.zeta(i * mpmath.mpf(s)) for i in range(1, r + 1)]
+            e = [mpmath.mpf(1)]
+            for j in range(1, r + 1):
+                terms = ((-1) ** (i - 1) * e[j - i] * p[i - 1] for i in range(1, j + 1))
+                e.append(sum(terms) / j)
+            reference = float(e[r])
+        assert multizeta(r, s) == pytest.approx(reference, rel=1e-9, abs=0.0)
+
+
+def _reference_zeta(s):
+    """The scalar Euler-Maclaurin path in its plainest form: a fresh
+    configuration, np.sum over np.arange, the rising-factorial loop."""
+    cfg = default_config(s)
+    n, m = cfg.direct_terms, cfg.correction_terms
+    total = float(np.sum(np.arange(1, n, dtype=float) ** (-s)))
+    total += n ** (1.0 - s) / (s - 1.0)
+    total += 0.5 * n ** (-s)
+    rising = 1.0
+    for j in range(1, m + 1):
+        rising = s if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
+        weight = float(bernoulli(2 * j)) / math.factorial(2 * j)
+        total += weight * rising * n ** (-s - 2 * j + 1)
+    return total
+
+
+def _reference_newton(p, one=1.0):
+    """The Newton identities with the sign (-1)^(i-1) taken per term."""
+    e = [one]
+    for j in range(1, len(p) + 1):
+        acc = 0.0
+        for i in range(1, j + 1):
+            acc += (-1) ** (i - 1) * e[j - i] * p[i - 1]
+        e.append(acc / j)
+    return e
+
+
+class TestBitIdentity:
+    """The scalar path and the recursion may be reorganised for speed only
+    when every value stays the same bit for bit."""
+
+    def test_scalar_path_equals_reference(self):
+        rng = random.Random(20)
+        for r in range(1, R_MAX + 1):
+            for _ in range(25):
+                s = rng.uniform(0.0, 4.0)
+                if nearest_pole(r, s) is not None:
+                    continue
+                p = [_reference_zeta(i * s) for i in range(1, r + 1)]
+                assert multizeta(r, s) == _reference_newton(p)[r], (r, s)
+
+    @pytest.mark.parametrize("r", [1, 2, 9, 16, 32])
+    def test_fold_table_equals_reference(self, r):
+        x = np.random.default_rng(r).uniform(0.0, 4.0, 300)
+        x = x[[nearest_pole(r, float(v)) is None for v in x]]
+        want = _reference_newton(_zeta_rows(r, x), np.ones_like(x))[r]
+        assert np.array_equal(multizeta_grid(r, x), want)
 
 
 class TestPoleGuard:

@@ -169,6 +169,15 @@ class TestConfiguration:
             EulerMaclaurinConfig(direct_terms=20, correction_terms=0)
         with pytest.raises(ParameterRangeError):
             EulerMaclaurinConfig(direct_terms=20, correction_terms=M_MAX + 1)
+        # A fractional term count once ran silently (20.5 gave zeta(2) to
+        # 7e-4); a float or string count raised a bare TypeError.
+        for direct, corrections, field in (
+            (20.5, 12, "direct_terms"),
+            (20, 12.0, "correction_terms"),
+            ("20", 12, "direct_terms"),
+        ):
+            with pytest.raises(ParameterRangeError, match=f"^{field} "):
+                EulerMaclaurinConfig(direct_terms=direct, correction_terms=corrections)
 
 
 class TestGridEvaluation:
