@@ -7,8 +7,8 @@ Exit codes are fixed for scriptability:
 
 Census disagreements (empirical count != conjectured count) are soft:
 they are reported in the JSON but do not change the exit code.  Output is
-reproducible byte for byte for identical flags; MZR_THREADS caps the
-number of worker threads used by interval scans.
+reproducible byte for byte for identical flags.  The verify suites live
+in `mzr.checks`.
 """
 from __future__ import annotations
 
@@ -16,32 +16,15 @@ import argparse
 import dataclasses
 import itertools
 import json
-import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .asymptotics import (
-    coefficient_closed_form,
-    coefficient_numeric,
-    coefficient_recursive,
-    periodicity_check,
-    pole_side_signs,
-    pole_spec,
-)
-from .census import (
-    census_report,
-    delta_F,
-    delta_F_direct,
-    divisor_count,
-    iaz_asymptotic,
-    iaz_predicted,
-    iaz_predicted_range,
-)
+from .asymptotics import coefficient_numeric, pole_spec
+from .census import census_report
+from .checks import SUITES
 from .errors import (
     BracketError,
     DomainError,
@@ -52,29 +35,14 @@ from .errors import (
     PoleProximityError,
     _check_int,
 )
-from .multizeta import (
-    R_MAX,
-    closed_form,
-    multizeta,
-    multizeta_grid,
-    truncated_euler_zagier,
-)
-from .riemann_kernel import (
-    EulerMaclaurinConfig,
-    default_config,
-    riemann_zeta,
-    riemann_zeta_alternating,
-    riemann_zeta_grid,
-)
+from .multizeta import R_MAX, multizeta, multizeta_grid
 from .zero_finder import (
-    BASE_GRID,
     SCAN_R_MAX,
     _refine_scans,
     _scan_grid,
     delta_exclusion,
     find_extrema,
     refine_roots,
-    sign_profile,
 )
 
 __all__ = ["PlotSeries", "build_plot_series", "main"]
@@ -129,35 +97,11 @@ def build_plot_series(r: int, s_from: float, s_to: float, points: int) -> PlotSe
     return PlotSeries(r=r, samples=samples, excluded=tuple(gaps))
 
 
-def _env_thread_cap() -> int | None:
-    raw = os.environ.get("MZR_THREADS")
-    if not raw:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        return None
-    return cap if cap >= 1 else None
-
-
 def _scan_many(tasks: list[tuple[int, list[int]]]) -> dict[tuple[int, int], object]:
-    """Scan many intervals, the grids possibly in parallel.  Each task is
-    (k, fold counts) and scans interval k once for all of them; then every
-    bracket of the run is refined in one batch.  Results are keyed by
-    (r, k) so assembly order never depends on scheduling."""
-    if not tasks:
-        return {}
-    cap = _env_thread_cap()
-    if cap is None:
-        cap = min(8, os.cpu_count() or 1)
-    workers = max(1, min(cap, len(tasks)))
-    if workers == 1:
-        grids = [_scan_grid(k, r_values) for k, r_values in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_scan_grid, k, r_values) for k, r_values in tasks]
-            grids = [fut.result() for fut in futures]
-    scans = _refine_scans([g for grid in grids for g in grid])
+    """Scan many intervals.  Each task is (k, fold counts) and scans
+    interval k once for all of them; then every bracket of the run is
+    refined in one batch.  Results are keyed by (r, k)."""
+    scans = _refine_scans([g for k, r_values in tasks for g in _scan_grid(k, r_values)])
     return {(scan.r, scan.k): scan for scan in scans}
 
 
@@ -193,6 +137,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_zeros(args) -> int:
     r = args.r
+    _check_int(r, "fold count", 1, SCAN_R_MAX)
     if not 1e-14 <= args.tol <= 1e-12:
         raise ParameterRangeError(
             f"bracket tolerance must lie in [1e-14, 1e-12], got {args.tol!r}"
@@ -243,6 +188,7 @@ def _refine_with_tol(groups, tol):
 
 def _cmd_extrema(args) -> int:
     r = args.r
+    _check_int(r, "fold count", 1, SCAN_R_MAX)
     records = []
     for k in range(r, 1, -1):
         for rec in find_extrema(r, k):
@@ -253,6 +199,7 @@ def _cmd_extrema(args) -> int:
 
 def _cmd_poles(args) -> int:
     r = args.r
+    _check_int(r, "fold count", 1, R_MAX)
     poles = []
     for k in range(r, 0, -1):
         spec = pole_spec(r, k)
@@ -293,311 +240,13 @@ def _cmd_census(args) -> int:
     return 5 if unstable_intervals else 0
 
 
-# ---------------------------------------------------------------------------
-# verify suite
-
-
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
-def _verify_kernel() -> list[dict]:
-    checks = []
-    grid = np.linspace(1.5, 40.0, 1000)
-    em = riemann_zeta_grid(grid)
-    worst = 0.0
-    for s, reference in zip(grid, em):
-        alt = riemann_zeta_alternating(float(s))
-        worst = max(worst, abs(alt - reference) / abs(reference))
-    checks.append(
-        _check(
-            "alternating-series agreement on [1.5, 40]",
-            worst <= 1e-12,
-            f"max rel diff {worst:.3e}",
-        )
-    )
-    classical = max(
-        abs(riemann_zeta(2.0) - math.pi**2 / 6.0) / (math.pi**2 / 6.0),
-        abs(riemann_zeta(4.0) - math.pi**4 / 90.0) / (math.pi**4 / 90.0),
-        abs(riemann_zeta(0.0) - (-0.5)) / 0.5,
-    )
-    checks.append(
-        _check(
-            "classical closed-form values",
-            classical <= 1e-14,
-            f"max rel diff {classical:.3e}",
-        )
-    )
-    low = riemann_zeta_grid(np.linspace(0.0, 0.9999, 500))
-    checks.append(
-        _check(
-            "negative on [0, 1)",
-            bool(np.all(low < 0.0)),
-            f"max value {float(low.max()):.3e}",
-        )
-    )
-    tail = riemann_zeta_grid(np.linspace(1.01, 40.0, 500))
-    checks.append(
-        _check(
-            "strictly decreasing beyond 1",
-            bool(np.all(np.diff(tail) < 0.0)),
-            f"max forward diff {float(np.diff(tail).max()):.3e}",
-        )
-    )
-    worst = 0.0
-    for s in (0.25, 0.5, 2.0, 7.5, 25.0, 40.0):
-        cfg = default_config(s)
-        doubled = EulerMaclaurinConfig(
-            direct_terms=2 * cfg.direct_terms,
-            correction_terms=cfg.correction_terms,
-        )
-        a, b = riemann_zeta(s, cfg), riemann_zeta(s, doubled)
-        worst = max(worst, abs(a - b) / abs(b))
-    checks.append(
-        _check(
-            "direct-term doubling self-consistency",
-            worst <= 1e-13,
-            f"max rel shift {worst:.3e}",
-        )
-    )
-    return checks
-
-
-def _verify_multizeta() -> list[dict]:
-    checks = []
-    rng = np.random.default_rng(20260814)
-    worst = 0.0
-    for r in (2, 3, 4):
-        drawn = 0
-        while drawn < 200:
-            s = float(rng.uniform(1.0 / r + 1e-3, 4.0))
-            if any(abs(s - 1.0 / k) < 1e-4 for k in range(1, r + 1)):
-                continue
-            drawn += 1
-            a, b = multizeta(r, s), closed_form(r, s)
-            worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    checks.append(
-        _check(
-            "recursion matches closed forms (r = 2..4)",
-            worst <= 1e-12,
-            f"max scaled diff {worst:.3e}",
-        )
-    )
-    monotone = True
-    bounded = True
-    for r in (2, 3, 4):
-        target = multizeta(r, 2.0)
-        last = -math.inf
-        for n in (10, 100, 1000):
-            part = truncated_euler_zagier(r, 2.0, n)
-            monotone = monotone and part > last and part < target
-            last = part
-        bound = multizeta(r - 1, 2.0) * 1000 ** (1.0 - 2.0) / (2.0 - 1.0)
-        bounded = bounded and target - last <= bound
-    checks.append(
-        _check(
-            "truncated sums increase toward the limit under the tail bound",
-            monotone and bounded,
-            "r = 2..4 at s = 2",
-        )
-    )
-    profile_ok = True
-    min_abs = math.inf
-    for r in range(1, 13):
-        report = sign_profile(r, 200)
-        profile_ok = profile_ok and report.passed
-        min_abs = min(min_abs, report.min_abs_value)
-    checks.append(
-        _check(
-            "constant sign (-1)^r on [0, 1/r)",
-            profile_ok,
-            f"min |value| {min_abs:.3e}",
-        )
-    )
-    return checks
-
-
-def _verify_asymptotics() -> list[dict]:
-    checks = []
-    worst = 0.0
-    signs_ok = True
-    for r in range(1, 13):
-        for k in range(1, r + 1):
-            cf = coefficient_closed_form(r, k)
-            rec = coefficient_recursive(r, k)
-            worst = max(worst, abs(cf - rec) / abs(cf))
-            signs_ok = signs_ok and math.copysign(1.0, cf) == (-1.0) ** (r + r // k)
-    checks.append(
-        _check(
-            "closed-form vs recursive constants (r <= 12)",
-            worst <= 1e-12,
-            f"max rel diff {worst:.3e}",
-        )
-    )
-    checks.append(
-        _check("constant signs follow (-1)^(r + order)", signs_ok, "r <= 12")
-    )
-    worst = 0.0
-    for r in range(1, 9):
-        for k in range(1, r + 1):
-            num = coefficient_numeric(r, k)
-            cf = coefficient_closed_form(r, k)
-            worst = max(worst, abs(num - cf) / abs(cf))
-    checks.append(
-        _check(
-            "numeric limit extraction (r <= 8)",
-            worst <= 1e-2,
-            f"max rel diff {worst:.3e}",
-        )
-    )
-    checks.append(
-        _check(
-            "constant ratios repeat mod k",
-            periodicity_check(2, 4) and periodicity_check(3, 3),
-            "k = 2 (q < 4) and k = 3 (q < 3)",
-        )
-    )
-    parity_ok = True
-    for r in range(2, 9):
-        for k in range(1, r + 1):
-            left, right = pole_side_signs(r, k)
-            order = r // k
-            expected_right = (-1) ** (r + order)
-            expected_left = expected_right * (-1) ** order
-            parity_ok = parity_ok and (left, right) == (expected_left, expected_right)
-    checks.append(
-        _check(
-            "pole-side signs match order parity",
-            parity_ok,
-            "sampled at 1/k +/- 1e-4, r <= 8",
-        )
-    )
-    return checks
-
-
-def _verify_zeros() -> list[dict]:
-    checks = []
-    scans = _scan_many([(k, list(range(k, 9))) for k in range(2, 9)])
-    stable = all(scan.count_stable for scan in scans.values())
-    checks.append(
-        _check(
-            "zero counts stable across grid doublings (r <= 8)",
-            stable,
-            f"{len(scans)} intervals",
-        )
-    )
-    suspects = sum(len(scan.tangency_suspects) for scan in scans.values())
-    checks.append(
-        _check("no suspected tangencies (r <= 8)", suspects == 0, f"{suspects} flagged")
-    )
-    bracket_ok = True
-    residual_ok = True
-    worst_ratio = 0.0
-    for (r, k), scan in scans.items():
-        # The scale bracket is the sign-change cell of the finest scan grid,
-        # i.e. the bracket each refinement actually started from.
-        cells = (4 if len(scan.grid_counts) == 3 else 8) * (BASE_GRID - 1)
-        lo_edge = 1.0 / k + delta_exclusion(k)
-        hi_edge = 1.0 / (k - 1) - delta_exclusion(k - 1)
-        h = (hi_edge - lo_edge) / cells
-        for rec in scan.zeros:
-            bracket_ok = bracket_ok and rec.bracket_hi - rec.bracket_lo <= 1e-12
-            cell_lo = lo_edge + int((rec.abscissa - lo_edge) / h) * h
-            scale = max(
-                abs(multizeta(r, cell_lo)),
-                abs(multizeta(r, cell_lo + h)),
-            )
-            ratio = rec.residual / scale
-            worst_ratio = max(worst_ratio, ratio)
-            residual_ok = residual_ok and ratio <= 1e-9
-    checks.append(
-        _check("refined brackets within 1e-12", bracket_ok, "all records")
-    )
-    checks.append(
-        _check(
-            "residuals small against the local scale",
-            residual_ok,
-            f"max residual/scale {worst_ratio:.3e}",
-        )
-    )
-    counts_match = True
-    for r in range(2, 9):
-        total = sum(len(scans[(r, k)]) for k in range(2, r + 1))
-        counts_match = counts_match and total == iaz_predicted(r)
-    checks.append(
-        _check(
-            "empirical totals equal the arithmetic prediction (r <= 8)",
-            counts_match,
-            "soft evidence for the per-interval conjecture",
-        )
-    )
-    return checks
-
-
-def _verify_census() -> list[dict]:
-    checks = []
-    r_top = 2000
-    predicted = iaz_predicted_range(r_top)
-    divisor_cumulative = 0
-    identity_ok = True
-    parity_ok = True
-    for r in range(1, r_top + 1):
-        divisor_cumulative += divisor_count(r)
-        identity_ok = identity_ok and predicted[r] == divisor_cumulative - r
-        if r >= 2:
-            inc = delta_F(r)
-            root = math.isqrt(r)
-            parity_ok = parity_ok and (inc % 2 == 0) == (root * root == r)
-    checks.append(
-        _check(
-            f"divisor-sum identity exact (r <= {r_top})",
-            identity_ok,
-            "floor-division sums vs trial division",
-        )
-    )
-    checks.append(
-        _check(
-            f"increment parity tracks perfect squares (r <= {r_top})",
-            parity_ok,
-            "d(r) - 1 even iff r is a square",
-        )
-    )
-    cross_ok = all(delta_F(r) == delta_F_direct(r) for r in range(2, 501))
-    checks.append(
-        _check("increment formula matches direct difference (r <= 500)", cross_ok, "")
-    )
-    band_ok = True
-    worst = 0.0
-    for r in range(100, r_top + 1):
-        gap = abs(float(predicted[r]) - iaz_asymptotic(r)) / math.sqrt(r)
-        worst = max(worst, gap)
-        band_ok = band_ok and gap <= 3.0
-    checks.append(
-        _check(
-            f"asymptotic residual within 3 sqrt(r) on [100, {r_top}]",
-            band_ok,
-            f"max |residual|/sqrt(r) = {worst:.3f}",
-        )
-    )
-    return checks
-
-
-_SUITES = {
-    "kernel": _verify_kernel,
-    "multizeta": _verify_multizeta,
-    "asymptotics": _verify_asymptotics,
-    "zeros": _verify_zeros,
-    "census": _verify_census,
-}
-
-
 def _cmd_verify(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks = []
-    for name in names:
-        for item in _SUITES[name]():
-            item["suite"] = name
-            checks.append(item)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    checks = [
+        dict(dataclasses.asdict(check), suite=name)
+        for name in names
+        for check in SUITES[name]()
+    ]
     passed = all(item["passed"] for item in checks)
     _print_json({"suites": names, "checks": checks, "passed": passed})
     return 0 if passed else 1
@@ -675,7 +324,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument(
         "--suite",
-        choices=["all", *_SUITES],
+        choices=["all", *SUITES],
         default="all",
     )
     p.set_defaults(func=_cmd_verify)

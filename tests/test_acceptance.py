@@ -6,29 +6,18 @@ re-evaluation by more than the gates below carry the re-evaluated digits
 (see the project decision ledger).  Gates: zero and extremum abscissas to
 1e-4, extremum values to 1e-3 * max(1, |value|).
 """
-import math
-
 import numpy as np
 import pytest
 
 from mzr import (
-    EULER_GAMMA,
-    closed_form,
-    coefficient_closed_form,
-    coefficient_numeric,
-    coefficient_recursive,
+    checks,
     delta_F,
-    divisor_count,
     divisor_identity_check,
     find_extrema,
     iaz_predicted,
     iaz_predicted_range,
-    multizeta,
     riemann_zeta,
     riemann_zeta_alternating,
-    scan_folds,
-    sign_profile,
-    truncated_euler_zagier,
 )
 
 # (r, k) -> ascending zero abscissas in (1/k, 1/(k-1)).
@@ -87,11 +76,12 @@ PREDICTED_TOTALS = [1, 2, 4, 5, 8, 9, 12, 14, 17]  # r = 2..10
 def all_scans():
     """One full scan of every interval for r = 2..10, shared by the zero
     and census criteria."""
-    return {
-        (r, k): scan
-        for k in range(2, 11)
-        for r, scan in scan_folds(k, range(k, 11)).items()
-    }
+    return checks.fold_scans(10)
+
+
+def assert_passed(*results):
+    for result in results:
+        assert result.passed, result
 
 
 def test_criterion_1_zero_regression(all_scans):
@@ -109,16 +99,19 @@ def test_criterion_1_zero_regression(all_scans):
 def test_criterion_2_census_match(all_scans):
     """Empirical interval counts equal floor(r/k) for r = 2..10, totals
     equal the arithmetic prediction, and no scan is unstable or carries
-    tangency suspects."""
+    tangency suspects; every refined bracket is within 1e-12 and every
+    residual small against the local scale."""
+    assert_passed(
+        checks.stable_counts(all_scans),
+        checks.no_tangency_suspects(all_scans),
+        checks.narrow_brackets(all_scans),
+        checks.small_residuals(all_scans),
+        checks.predicted_totals(all_scans),
+    )
     for r in range(2, 11):
-        total = 0
         for k in range(2, r + 1):
-            scan = all_scans[(r, k)]
-            assert scan.count_stable, (r, k)
-            assert scan.tangency_suspects == (), (r, k)
-            assert len(scan.zeros) == r // k, (r, k)
-            total += len(scan.zeros)
-        assert total == iaz_predicted(r) == PREDICTED_TOTALS[r - 2], r
+            assert len(all_scans[(r, k)].zeros) == r // k, (r, k)
+        assert iaz_predicted(r) == PREDICTED_TOTALS[r - 2], r
 
 
 def test_criterion_3_extremum_regression():
@@ -138,28 +131,22 @@ def test_criterion_3_extremum_regression():
 def test_criterion_4_pole_constants():
     """The three routes to the leading constants agree (closed form vs
     recursion to 1e-12 relative for r <= 12, numeric extraction to 1e-2
-    for r <= 8) and every sign equals (-1)^(r + floor(r/k))."""
-    for r in range(1, 13):
-        for k in range(1, r + 1):
-            reference = coefficient_closed_form(r, k)
-            recursive = coefficient_recursive(r, k)
-            assert abs(recursive - reference) <= 1e-12 * abs(reference), (r, k)
-            assert math.copysign(1.0, reference) == (-1.0) ** (r + r // k), (r, k)
-    for r in range(1, 9):
-        for k in range(1, r + 1):
-            numeric = coefficient_numeric(r, k)
-            reference = coefficient_closed_form(r, k)
-            assert abs(numeric - reference) <= 1e-2 * abs(reference), (r, k)
+    for r <= 8), every sign equals (-1)^(r + floor(r/k)), the constant
+    ratios repeat mod k, and the signs either side of each pole follow
+    its order's parity."""
+    assert_passed(
+        checks.recursive_constants(),
+        checks.constant_signs(),
+        checks.numeric_constants(),
+        checks.periodicity(),
+        checks.pole_side_parity(),
+    )
 
 
 def test_criterion_5_constant_sign():
     """The r-fold function keeps the sign (-1)^r, with no zero, on a
     200-point grid over [0, 1/r) for every r <= 12."""
-    for r in range(1, 13):
-        profile = sign_profile(r, 200)
-        assert profile.passed, r
-        assert profile.expected_sign == (-1) ** r, r
-        assert profile.min_abs_value > 0.0, r
+    assert_passed(checks.constant_sign())
 
 
 def test_criterion_6_oracle_equivalence():
@@ -167,29 +154,14 @@ def test_criterion_6_oracle_equivalence():
     the analytic tail bound holding at n = 10^4 (r <= 5, s in {1.5, 2, 3});
     closed forms match the recursion to 1e-12 on 500 random points per
     fold count."""
-    for r in range(1, 6):
-        for s in (1.5, 2.0, 3.0):
-            limit = multizeta(r, s)
-            last = -math.inf
-            for n in (r, 10, 100, 1000, 10**4):
-                if n < r:
-                    continue
-                partial = truncated_euler_zagier(r, s, n)
-                assert last < partial < limit, (r, s, n)
-                last = partial
-            head = multizeta(r - 1, s) if r > 1 else 1.0
-            bound = head * (10**4) ** (1.0 - s) / (s - 1.0)
-            assert 0.0 < limit - last <= bound, (r, s)
-    rng = np.random.default_rng(20260814)
-    for r in (2, 3, 4):
-        drawn = 0
-        while drawn < 500:
-            s = float(rng.uniform(1.0 / r + 1e-3, 4.0))
-            if any(abs(s - 1.0 / k) < 1e-4 for k in range(1, r + 1)):
-                continue
-            drawn += 1
-            a, b = multizeta(r, s), closed_form(r, s)
-            assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (r, s)
+    assert_passed(
+        checks.truncated_sums(
+            folds=range(1, 6),
+            exponents=(1.5, 2.0, 3.0),
+            cutoffs=(10, 100, 1000, 10**4),
+        ),
+        checks.closed_forms(draws=500),
+    )
 
 
 def test_criterion_7_arithmetic_identities():
@@ -198,44 +170,31 @@ def test_criterion_7_arithmetic_identities():
     its asymptotic form on [100, 10^4]."""
     top = 10**4
     predicted = iaz_predicted_range(top)
-    divisor_by_r = np.array(
-        [0] + [divisor_count(n) for n in range(1, top + 1)], dtype=np.int64
+    assert_passed(
+        checks.divisor_identity(predicted),
+        checks.increment_parity(r_max=top),
+        checks.increment_direct(),
+        checks.asymptotic_band(predicted),
     )
-    cumulative = np.cumsum(divisor_by_r)
-    r_axis = np.arange(top + 1, dtype=np.int64)
-    # Identity: F(r) = sum_{l <= r} d(l) - r for every r, both sides from
-    # independent computations.
-    assert np.array_equal(predicted[1:], (cumulative - r_axis)[1:])
     # The per-call check agrees on a sample (it recomputes both sides from
-    # scratch, so the full range is covered by the vector comparison above).
+    # scratch, so the full range is covered by the registry check above).
     assert all(divisor_identity_check(r) for r in range(1, 301))
     rng = np.random.default_rng(11)
     for r in rng.integers(301, top, size=10).tolist():
         assert divisor_identity_check(int(r))
     assert divisor_identity_check(top)
-    # Parity: d(r) - 1 is even exactly at perfect squares, and matches the
-    # direct increment of the floor-division sums.
+    # The divisor-path increments equal the differences of the range
+    # function over the whole range.
     increments = np.diff(predicted[1:])
-    for r in range(2, top + 1):
-        inc = delta_F(r)
-        assert inc == divisor_by_r[r] - 1 == increments[r - 2], r
-        root = math.isqrt(r)
-        assert (inc % 2 == 0) == (root * root == r), r
-    # Growth band.
-    r_band = np.arange(100, top + 1, dtype=float)
-    estimate = r_band * np.log(r_band) - 2.0 * (1.0 - EULER_GAMMA) * r_band
-    residual = np.abs(predicted[100:].astype(float) - estimate)
-    assert np.all(residual <= 3.0 * np.sqrt(r_band))
+    assert [delta_F(r) for r in range(2, top + 1)] == increments.tolist()
 
 
 def test_criterion_8_riemann_kernel():
-    """The summation kernel agrees with the independent alternating-series
-    route to 1e-12 relative on [1.5, 40], and the classical values at
-    s = 2, 4, 0 hold to 1e-14."""
+    """Both summation kernels, grid and scalar, agree with the independent
+    alternating-series route to 1e-12 relative on [1.5, 40], and the
+    classical values at s = 2, 4, 0 hold to 1e-14."""
+    assert_passed(checks.alternating_agreement(), checks.classical_values())
     for s in np.linspace(1.5, 40.0, 1000):
         a = riemann_zeta(float(s))
         b = riemann_zeta_alternating(float(s))
         assert abs(a - b) <= 1e-12 * abs(b), s
-    assert abs(riemann_zeta(2.0) - math.pi**2 / 6.0) <= 1e-14 * (math.pi**2 / 6.0)
-    assert abs(riemann_zeta(4.0) - math.pi**4 / 90.0) <= 1e-14 * (math.pi**4 / 90.0)
-    assert abs(riemann_zeta(0.0) + 0.5) <= 1e-14

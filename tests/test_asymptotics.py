@@ -10,6 +10,7 @@ from mzr import (
     NonConvergenceError,
     ParameterRangeError,
     PoleSpec,
+    checks,
     coefficient_closed_form,
     coefficient_numeric,
     coefficient_recursive,
@@ -100,11 +101,7 @@ class TestRecursiveRoute:
         )
 
     def test_full_agreement_with_closed_forms(self):
-        for r in range(1, 13):
-            for k in range(1, r + 1):
-                cf = coefficient_closed_form(r, k)
-                rec = coefficient_recursive(r, k)
-                assert abs(cf - rec) <= 1e-12 * abs(cf)
+        assert checks.recursive_constants().passed
 
 
 class TestNumericRoute:
@@ -134,10 +131,7 @@ class TestNumericRoute:
 
 class TestSignLaw:
     def test_signs_follow_order_parity(self):
-        for r in range(1, 13):
-            for k in range(1, r + 1):
-                constant = coefficient_closed_form(r, k)
-                assert math.copysign(1.0, constant) == (-1.0) ** (r + r // k)
+        assert checks.constant_signs().passed
 
     def test_side_signs_at_simple_and_double_poles(self):
         # Odd order flips the sign across the pole, even order does not.
@@ -145,12 +139,7 @@ class TestSignLaw:
         assert pole_side_signs(4, 2) == (1, 1)
 
     def test_side_signs_match_constants(self):
-        for r in range(2, 7):
-            for k in range(1, r + 1):
-                left, right = pole_side_signs(r, k)
-                order = r // k
-                assert right == (-1) ** (r + order)
-                assert left == right * (-1) ** order
+        assert checks.pole_side_parity().passed
 
     def test_side_step_validation(self):
         with pytest.raises(ParameterRangeError):

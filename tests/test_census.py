@@ -13,6 +13,7 @@ from mzr import (
     EULER_GAMMA,
     IncompleteInputError,
     ParameterRangeError,
+    checks,
     census_report,
     delta_F,
     delta_F_direct,
@@ -114,13 +115,10 @@ class TestIncrements:
         assert delta_F(9) == 2
 
     def test_parity_tracks_squares(self):
-        for r in range(2, 501):
-            root = math.isqrt(r)
-            assert (delta_F(r) % 2 == 0) == (root * root == r)
+        assert checks.increment_parity().passed
 
     def test_both_paths_agree(self):
-        for r in range(2, 501):
-            assert delta_F(r) == delta_F_direct(r)
+        assert checks.increment_direct().passed
 
     @given(st.integers(min_value=2, max_value=5000))
     def test_increment_property(self, r):
@@ -170,13 +168,6 @@ class TestCensusReport:
 
 class TestIdentityAtScale:
     def test_identity_and_band_to_two_thousand(self):
-        top = 2000
-        predicted = iaz_predicted_range(top)
-        cumulative = 0
-        for r in range(1, top + 1):
-            cumulative += divisor_count(r)
-            assert predicted[r] == cumulative - r
-        r_axis = np.arange(100, top + 1, dtype=float)
-        estimate = r_axis * np.log(r_axis) - 2.0 * (1.0 - EULER_GAMMA) * r_axis
-        residual = np.abs(predicted[100:].astype(float) - estimate)
-        assert np.all(residual <= 3.0 * np.sqrt(r_axis))
+        predicted = iaz_predicted_range(2000)
+        assert checks.divisor_identity(predicted).passed
+        assert checks.asymptotic_band(predicted).passed

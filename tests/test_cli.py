@@ -1,11 +1,10 @@
 """Command-line surface: output formats, exit codes, determinism, and the
 JSON report shapes."""
 import json
-import math
 
 import pytest
 
-from mzr import riemann_zeta
+from mzr import checks, riemann_zeta
 from mzr.cli import build_plot_series, main
 
 FIVE_FOLD_ZEROS = [
@@ -14,6 +13,31 @@ FIVE_FOLD_ZEROS = [
     0.42350639643286467,
     0.6438605458318124,
     0.821698848360263,
+]
+
+VERIFY_CHECKS = [
+    "alternating-series agreement on [1.5, 40]",
+    "classical closed-form values",
+    "negative on [0, 1)",
+    "strictly decreasing beyond 1",
+    "direct-term doubling self-consistency",
+    "recursion matches closed forms (r = 2..4)",
+    "truncated sums increase toward the limit under the tail bound",
+    "constant sign (-1)^r on [0, 1/r)",
+    "closed-form vs recursive constants (r <= 12)",
+    "constant signs follow (-1)^(r + order)",
+    "numeric limit extraction (r <= 8)",
+    "constant ratios repeat mod k",
+    "pole-side signs match order parity",
+    "zero counts stable across grid doublings (r <= 8)",
+    "no suspected tangencies (r <= 8)",
+    "refined brackets within 1e-12",
+    "residuals small against the local scale",
+    "empirical totals equal the arithmetic prediction (r <= 8)",
+    "divisor-sum identity exact (r <= 2000)",
+    "increment parity tracks perfect squares (r <= 2000)",
+    "increment formula matches direct difference (r <= 500)",
+    "asymptotic residual within 3 sqrt(r) on [100, 2000]",
 ]
 
 
@@ -174,11 +198,28 @@ class TestZeros:
         code, _, _ = run(capsys, "zeros", "--r", "3", "--tol", "1e-15")
         assert code == 2
 
-    def test_thread_cap_does_not_change_results(self, capsys, monkeypatch):
-        _, serial_out, _ = run(capsys, "zeros", "--r", "4")
-        monkeypatch.setenv("MZR_THREADS", "1")
-        _, capped_out, _ = run(capsys, "zeros", "--r", "4")
-        assert capped_out == serial_out
+    def test_single_fold_has_no_interval(self, capsys):
+        code, out, _ = run(capsys, "zeros", "--r", "1")
+        assert code == 0
+        assert json.loads(out) == {"r": 1, "zeros": [], "intervals": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zeros", "--r", "-3"),
+        ("zeros", "--r", "0"),
+        ("extrema", "--r", "-2"),
+        ("extrema", "--r", "0"),
+        ("poles", "--r", "0"),
+        ("poles", "--r", "-1"),
+    ],
+)
+def test_fold_count_validation(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "fold count" in err
 
 
 class TestExtrema:
@@ -238,6 +279,21 @@ class TestVerify:
         assert payload["passed"] is True
         assert payload["suites"] == ["kernel"]
         assert all(item["passed"] for item in payload["checks"])
+
+    def test_all_suites_pass_in_registry_order(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert payload["suites"] == list(checks.SUITES)
+        assert [item["name"] for item in payload["checks"]] == VERIFY_CHECKS
+        for item in payload["checks"]:
+            assert list(item) == ["name", "passed", "detail", "suite"]
+
+    def test_suite_choices_follow_the_registry(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        assert "{" + ",".join(["all", *checks.SUITES]) + "}" in out
 
     def test_unknown_suite_is_a_parse_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "nonsense")
