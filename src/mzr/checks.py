@@ -38,7 +38,7 @@ from .riemann_kernel import (
     riemann_zeta_alternating,
     riemann_zeta_grid,
 )
-from .zero_finder import BASE_GRID, IntervalScan, delta_exclusion, scan_folds, sign_profile
+from .zero_finder import BASE_GRID, IntervalScan, _interval_bounds, scan_folds, sign_profile
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def _top(scans) -> int:
 
 def stable_counts(scans) -> Check:
     return Check(
-        f"zero counts stable across grid doublings (r <= {_top(scans)})",
+        f"zero counts stable across proxy doublings (r <= {_top(scans)})",
         all(scan.count_stable for scan in scans.values()),
         f"{len(scans)} intervals",
     )
@@ -295,12 +295,10 @@ def small_residuals(scans) -> Check:
     residual_ok = True
     worst_ratio = 0.0
     for (r, k), scan in scans.items():
-        # The scale bracket is the sign-change cell of the finest scan grid,
-        # i.e. the bracket each refinement actually started from.
-        cells = (4 if len(scan.grid_counts) == 3 else 8) * (BASE_GRID - 1)
-        lo_edge = 1.0 / k + delta_exclusion(k)
-        hi_edge = 1.0 / (k - 1) - delta_exclusion(k - 1)
-        h = (hi_edge - lo_edge) / cells
+        # The scale is the larger end value of a fixed reference cell
+        # around each zero, 1/(4 (BASE_GRID - 1)) of the scanned interval.
+        lo_edge, hi_edge = _interval_bounds(k)
+        h = (hi_edge - lo_edge) / (4 * (BASE_GRID - 1))
         for rec in scan.zeros:
             cell_lo = lo_edge + int((rec.abscissa - lo_edge) / h) * h
             scale = max(

@@ -1,16 +1,18 @@
 """Inter-asymptotic zeros and extrema of the r-fold functions on (0, 1).
 
-Each interval (1/k, 1/(k-1)) between consecutive asymptotes is scanned for
-sign changes at three nested densities, g, 2g - 1 and 4g - 3 points, that
-share their points: one fold table, evaluated once on the finest grid,
-serves every fold count that needs the interval, and the coarser scans
-are its every second and fourth point.  A count that drifts with
-resolution is flagged instead of trusted.  The sign changes of the finest
-grids are refined together to 1e-12-wide brackets: each step subdivides
+Each interval (1/k, 1/(k-1)) between consecutive asymptotes is scanned
+through a Chebyshev proxy: the r-fold function with its poles at both
+ends cancelled, which is analytic on the closed interval and has the
+same zeros inside it, interpolated at 128 and at 256 first-kind nodes.
+One fold table over the 384 nodes serves every fold count that needs the
+interval.  Each series is chopped at its coefficient plateau (Aurentz &
+Trefethen, ACM TOMS 43, 2017) and its roots are colleague-matrix
+eigenvalues (Boyd, SIAM J. Numer. Anal. 40, 2002).  A count that
+differs between the two proxies, an unresolved proxy, a near-real root
+pair (a possible even-order zero) or a root that no narrow bracket
+straddles is flagged instead of trusted.  The roots of all intervals of
+a run are refined together to 1e-12-wide brackets: each step subdivides
 every open bracket and evaluates all their points in one fold table.
-Near-zero grid values without an adjacent sign change are reported as
-suspected tangencies rather than silently dropped: an even-order zero
-would look exactly like that.
 
 Extrema go through the same solver: they are the zeros of the
 central-difference derivative, whose grid sign changes are subdivided
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
@@ -33,7 +35,6 @@ __all__ = [
     "BASE_GRID",
     "BRACKET_WIDTH",
     "DERIVATIVE_STEP",
-    "TANGENCY_DIP",
     "ZeroRecord",
     "ExtremumRecord",
     "IntervalScan",
@@ -51,6 +52,7 @@ __all__ = [
 # return something slow and unvalidated.
 SCAN_R_MAX = 16
 
+# Grid of the derivative sign scan in `find_extrema`.
 BASE_GRID = 4096
 
 # Target width of a refined bracket.
@@ -60,12 +62,19 @@ BRACKET_WIDTH = 1e-12
 # extrema.
 DERIVATIVE_STEP = 1e-6
 
-# Grid values below this magnitude with no adjacent sign change are
-# reported as suspected tangencies (possible even-order zeros).
-TANGENCY_DIP = 1e-6
+# The Chebyshev proxy: nodes of the coarser of its two interpolants (the
+# finer has twice as many), the chop level relative to the largest
+# coefficient, and the share of the interval below which two roots are
+# one suspected tangency.
+_PROXY_NODES = 128
+_CHOP = 1e-10
+_TANGENCY_GAP = 1e-3
 
-# Cells per subdivision step: a 3e-5 scan cell reaches 1e-12 in five
-# steps, and one step of every bracket is one fold table.
+# Half-widths of the symmetric brackets tried around each proxy root.
+_ROOT_BRACKETS = np.array([1e-10, 1e-8, 1e-6])
+
+# Cells per subdivision step: a 2e-8 bracket around a proxy root reaches
+# 1e-12 in three steps, and one step of every bracket is one fold table.
 _SUBDIVISIONS = 32
 
 # Stencil half-width for the post-bracketing Newton polish: wide enough
@@ -144,10 +153,12 @@ class ExtremumRecord:
 class IntervalScan:
     """Scan result for one interval; iterates as a sequence of ZeroRecord.
 
-    grid_counts holds the raw sign-change count at each grid density tried;
-    count_stable records whether the count settled.  tangency_suspects are
-    abscissas where the function dipped below TANGENCY_DIP without a sign
-    change nearby.
+    grid_counts holds the real root counts of the Chebyshev proxy at 128
+    and at 256 nodes.  count_stable records whether the count can be
+    trusted: the two counts agree, both proxies are resolved, no tangency
+    is suspected and every root was bracketed.  tangency_suspects are the
+    abscissas of near-real conjugate root pairs and of real root pairs
+    closer than a thousandth of the interval: possible even-order zeros.
     """
 
     r: int
@@ -192,7 +203,7 @@ def _fold_values(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     Table values are pointwise, so each value is the one its bracket
     would get alone, whatever else shares the table.
     """
-    table = np.asarray(_fold_table(int(r.max()), x.ravel()))
+    table = np.asarray(_fold_table(int(r.max(initial=1)), x.ravel()))
     rows = np.repeat(r, x.shape[1])
     return table[rows, np.arange(x.size)].reshape(x.shape)
 
@@ -408,140 +419,128 @@ def refine_root(
     return refine_roots([(r, bracket_lo, bracket_hi)], tol)[0]
 
 
-def _grid_crossings(
-    s: np.ndarray, v: np.ndarray
-) -> tuple[list[tuple[float, float]], list[float]]:
-    """Sign-change cells and tangency suspects of one sampled scan line."""
-    brackets: list[tuple[float, float]] = []
-    sign = np.sign(v)
-    prod = sign[:-1] * sign[1:]
-    change = set(np.nonzero(prod < 0)[0].tolist())
-    exact = np.nonzero(v == 0.0)[0].tolist()
-    for i in sorted(change):
-        brackets.append((float(s[i]), float(s[i + 1])))
-    for i in exact:
-        # A zero landing exactly on a grid node: bracket its neighbours
-        # when they straddle, otherwise it joins the tangency suspects.
-        if 0 < i < len(s) - 1 and sign[i - 1] * sign[i + 1] < 0:
-            brackets.append((float(s[i - 1]), float(s[i + 1])))
-    brackets.sort()
-    dips = np.nonzero(np.abs(v) < TANGENCY_DIP)[0].tolist()
-    suspects = []
-    for i in dips:
-        near_change = (i - 1 in change) or (i in change)
-        if v[i] == 0.0 and 0 < i < len(s) - 1 and sign[i - 1] * sign[i + 1] < 0:
-            near_change = True
-        if not near_change:
-            suspects.append(float(s[i]))
-    return brackets, suspects
+def _proxy_nodes(k: int, n: int) -> np.ndarray:
+    """The n first-kind Chebyshev nodes of (1/k, 1/(k-1)) as abscissas,
+    in descending order.  None is an endpoint: the nearest lies about
+    pi^2 w / (16 n^2) inside, for an interval of width w."""
+    t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    return 1.0 / k + 0.5 * (1.0 / (k - 1) - 1.0 / k) * (1.0 + t)
 
 
-@dataclass(frozen=True)
-class _GridScan:
-    """The grid part of an IntervalScan: its sign-change cells in place of
-    the refined zeros."""
+def _proxy_roots(
+    values: np.ndarray, x_lo: float, x_hi: float
+) -> tuple[list[float], list[float], bool]:
+    """Interpolate values at the first-kind nodes of x in [0, 1], chop the
+    series where its coefficients fall below _CHOP of the largest, and
+    take the roots of what is left with real part in (x_lo, x_hi).
+    Returns (roots, suspects, resolved): the real roots, ascending; a
+    near-real conjugate pair, or two real roots, closer than
+    _TANGENCY_GAP is one suspect at its real part or midpoint instead;
+    the series is resolved when the chop keeps at most half of it."""
+    from numpy.polynomial.chebyshev import chebroots
 
-    r: int
-    k: int
-    brackets: tuple[tuple[float, float], ...]
-    grid_counts: tuple[int, ...]
-    count_stable: bool
-    tangency_suspects: tuple[float, ...]
+    # The coefficients are a DCT-II of the values: an FFT of their even
+    # extension, turned by a quarter-sample phase.
+    n = values.size
+    twiddle = np.exp(-0.5j * np.pi / n * np.arange(n))
+    c = (np.fft.rfft(np.concatenate([values, values[::-1]]))[:n] * twiddle).real / n
+    c[0] *= 0.5
+    size = np.abs(c)
+    length = 1 + int(np.flatnonzero(size > _CHOP * size.max()).max(initial=0))
+    x = 0.5 * (1.0 + chebroots(c[:length]))
+    x = x[(x_lo < x.real) & (x.real < x_hi)]
+    suspects = [float(z.real) for z in x if 0.0 < z.imag < 0.5 * _TANGENCY_GAP]
+    roots: list[float] = []
+    for z in np.sort(x.real[x.imag == 0.0]).tolist():
+        if roots and z - roots[-1] < _TANGENCY_GAP:
+            suspects.append(0.5 * (roots.pop() + z))
+        else:
+            roots.append(z)
+    return roots, sorted(suspects), length <= n // 2
 
 
-def _scan_grid(k: int, r_values, base_grid: int = BASE_GRID) -> list[_GridScan]:
-    """The grid part of `scan_folds`: brackets, counts and suspects of
-    every fold count, in ascending r."""
+def _scan_grid(k: int, r_values) -> list[tuple[IntervalScan, tuple[float, ...]]]:
+    """The proxy part of `scan_folds`: for every fold count, in ascending
+    r, its IntervalScan without zeros and the roots of its proxy."""
     r_values = list(r_values)
     if not r_values:
         raise ParameterRangeError("need at least one fold count")
     for r in r_values:
         _check_interval(r, k)
     r_values = sorted(set(r_values))
-    _check_int(base_grid, "grid", 16)
-    lo, hi = _interval_bounds(k)
-    s = np.linspace(lo, hi, 4 * base_grid - 3)
+    n = _PROXY_NODES
+    s = np.concatenate([_proxy_nodes(k, n), _proxy_nodes(k, 2 * n)])
     table = _fold_table(r_values[-1], s)
-    counts: dict[int, list[int]] = {}
-    found: dict[int, tuple[list[tuple[float, float]], list[float]]] = {}
+    # The poles at both ends cancelled in the form the kernel gives them,
+    # 1 / (k s - 1) and 1 / ((k - 1) s - 1), so every proxy function is
+    # analytic on the closed interval.
+    below, above = k * s - 1.0, 1.0 - (k - 1) * s
+    lo, hi = _interval_bounds(k)
+    width = 1.0 / (k - 1) - 1.0 / k
+    x_lo, x_hi = (lo - 1.0 / k) / width, (hi - 1.0 / k) / width
+    scans = []
     for r in r_values:
-        counts[r] = []
-        for step in (4, 2, 1):
-            found[r] = _grid_crossings(s[::step], table[r][::step])
-            counts[r].append(len(found[r][0]))
-    unsettled = [r for r in r_values if len(set(counts[r])) > 1]
-    if unsettled:
-        mid = 0.5 * (s[:-1] + s[1:])
-        mid_table = _fold_table(unsettled[-1], mid)
-        fine = np.empty(2 * s.size - 1)
-        fine[::2], fine[1::2] = s, mid
-        for r in unsettled:
-            v = np.empty_like(fine)
-            v[::2], v[1::2] = table[r], mid_table[r]
-            found[r] = _grid_crossings(fine, v)
-            counts[r].append(len(found[r][0]))
-    return [
-        _GridScan(
+        g = table[r] * below ** (r // k) * above ** (r // (k - 1))
+        coarse, coarse_suspects, coarse_ok = _proxy_roots(g[:n], x_lo, x_hi)
+        roots, suspects, ok = _proxy_roots(g[n:], x_lo, x_hi)
+        settled = len(coarse) == len(roots) and coarse_ok and ok
+        scan = IntervalScan(
             r=r,
             k=k,
-            brackets=tuple(found[r][0]),
-            grid_counts=tuple(counts[r]),
-            count_stable=counts[r][-1] == counts[r][-2] == counts[r][-3],
-            tangency_suspects=tuple(found[r][1]),
+            zeros=(),
+            grid_counts=(len(coarse), len(roots)),
+            count_stable=settled and not (coarse_suspects or suspects),
+            tangency_suspects=tuple(1.0 / k + width * x for x in suspects),
         )
-        for r in r_values
-    ]
+        scans.append((scan, tuple(1.0 / k + width * x for x in roots)))
+    return scans
 
 
-def _refine_scans(grid_scans: list[_GridScan]) -> list[IntervalScan]:
-    """The IntervalScans of grid scans, with every bracket of all of them
-    refined in one `refine_roots` batch."""
-    zeros = iter(
-        refine_roots([(g.r, a, b) for g in grid_scans for a, b in g.brackets])
-    )
-    return [
-        IntervalScan(
-            r=g.r,
-            k=g.k,
-            zeros=tuple(itertools.islice(zeros, len(g.brackets))),
-            grid_counts=g.grid_counts,
-            count_stable=g.count_stable,
-            tangency_suspects=g.tangency_suspects,
+def _refine_scans(proxy_scans) -> list[IntervalScan]:
+    """The IntervalScans of `_scan_grid` results.  Every root of all of
+    them is bracketed, in one fold table, by the first of the symmetric
+    brackets root -+ _ROOT_BRACKETS that straddles a sign change, and
+    refined in one `refine_roots` batch.  A root that no bracket
+    straddles gives no zero and makes its interval unstable."""
+    r = np.array([scan.r for scan, roots in proxy_scans for _ in roots], dtype=int)
+    centre = np.array([x for _, roots in proxy_scans for x in roots], dtype=float)
+    held, lo, hi, _, _ = _rebracket(r, centre, _ROOT_BRACKETS)
+    zeros = iter(refine_roots(zip(r[held].tolist(), lo[held], hi[held])))
+    held = iter(held.tolist())
+    scans = []
+    for scan, roots in proxy_scans:
+        bracketed = [next(held) for _ in roots]
+        scans.append(
+            replace(
+                scan,
+                zeros=tuple(itertools.islice(zeros, sum(bracketed))),
+                count_stable=scan.count_stable and all(bracketed),
+            )
         )
-        for g in grid_scans
-    ]
+    return scans
 
 
-def scan_folds(
-    k: int, r_values, base_grid: int = BASE_GRID
-) -> dict[int, IntervalScan]:
+def scan_folds(k: int, r_values) -> dict[int, IntervalScan]:
     """Locate and refine every zero in (1/k, 1/(k-1)) for each fold count
     in r_values, from one fold table.
 
-    The folds up to max(r_values) are evaluated once on the finest regular
-    grid, linspace(lo, hi, 4g - 3) with g = base_grid; the coarser scans
-    are its every second and every fourth point, so the three densities
-    g, 2g - 1 and 4g - 3 share their points.  A fold count whose three
-    counts disagree gets one further density, 8g - 7, made by evaluating
-    only the midpoints of the finest grid; it is flagged unstable unless
-    its last three counts agree.  The sign-change cells of the finest grid
-    each fold count reached are refined together by `refine_roots`, and
-    the zeros are returned in ascending order.  Returns one IntervalScan
-    per fold count, keyed by r.
+    The folds up to max(r_values) are evaluated once, at the 128 and the
+    256 first-kind Chebyshev nodes of the interval.  Each fold count's
+    proxy, with its poles cancelled, is chopped at its coefficient
+    plateau, and its real roots inside the interval are the zero counts.
+    Each root of the 256-node proxy is bracketed at 1e-10, 1e-8 or 1e-6
+    and refined by `refine_roots`; zeros come in ascending order.  The
+    count is unstable unless both proxies give it, both resolve, neither
+    suspects a tangency and every root brackets.  Returns one
+    IntervalScan per fold count, keyed by r.
     """
-    return {scan.r: scan for scan in _refine_scans(_scan_grid(k, r_values, base_grid))}
+    return {scan.r: scan for scan in _refine_scans(_scan_grid(k, r_values))}
 
 
-def scan_interval(r: int, k: int, base_grid: int = BASE_GRID) -> IntervalScan:
-    """Locate and refine every zero of the r-fold function in (1/k, 1/(k-1)).
-
-    The single-fold case of `scan_folds`: scans at the nested densities
-    g, 2g - 1 and 4g - 3 (g = base_grid); if the three counts disagree,
-    the midpoints are added (8g - 7 points) and the scan is flagged
-    unstable unless the last three counts agree.  Zeros of the finest grid
-    are refined and returned in ascending order.
-    """
-    return scan_folds(k, [r], base_grid)[r]
+def scan_interval(r: int, k: int) -> IntervalScan:
+    """Locate and refine every zero of the r-fold function in (1/k, 1/(k-1)):
+    the single-fold case of `scan_folds`."""
+    return scan_folds(k, [r])[r]
 
 
 def find_extrema(r: int, k: int, base_grid: int = BASE_GRID) -> tuple[ExtremumRecord, ...]:

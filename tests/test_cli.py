@@ -29,7 +29,7 @@ VERIFY_CHECKS = [
     "numeric limit extraction (r <= 8)",
     "constant ratios repeat mod k",
     "pole-side signs match order parity",
-    "zero counts stable across grid doublings (r <= 8)",
+    "zero counts stable across proxy doublings (r <= 8)",
     "no suspected tangencies (r <= 8)",
     "refined brackets within 1e-12",
     "residuals small against the local scale",

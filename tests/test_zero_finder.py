@@ -1,8 +1,10 @@
 """Zero and extremum location between consecutive asymptotes: bracket
-refinement contracts, grid-scan stability, and the constant-sign check
-on the leftmost segment."""
+refinement contracts, the Chebyshev proxy scan, and the constant-sign
+check on the leftmost segment."""
 import importlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from mzr import (
     BRACKET_WIDTH,
     BracketError,
     ExtremumRecord,
+    POLE_GUARD_RADIUS,
     ParameterRangeError,
     SCAN_R_MAX,
     ZeroRecord,
@@ -152,12 +155,16 @@ class TestRefineRoots:
     def test_batch_equals_single_brackets(self):
         # Every bracket of `census --r-max 16` gives, field for field, the
         # record it gives alone.
-        brackets = [
-            (g.r, a, b)
+        proxies = [
+            proxy
             for k in range(2, SCAN_R_MAX + 1)
-            for g in zero_finder._scan_grid(k, range(k, SCAN_R_MAX + 1))
-            for a, b in g.brackets
+            for proxy in zero_finder._scan_grid(k, range(k, SCAN_R_MAX + 1))
         ]
+        r = np.array([scan.r for scan, roots in proxies for _ in roots])
+        centre = np.array([x for _, roots in proxies for x in roots])
+        held, lo, hi, _, _ = zero_finder._rebracket(r, centre, zero_finder._ROOT_BRACKETS)
+        assert held.all()
+        brackets = list(zip(r.tolist(), lo.tolist(), hi.tolist()))
         assert len(brackets) == 228
         batch = refine_roots(brackets)
         assert len(batch) == len(brackets)
@@ -262,7 +269,7 @@ class TestScanInterval:
         scan = scan_interval(2, 2)
         assert len(scan) == 1
         assert scan.count_stable
-        assert scan.grid_counts == (1, 1, 1)
+        assert scan.grid_counts == (1, 1)
         assert scan.tangency_suspects == ()
         assert scan.zeros[0].abscissa == pytest.approx(0.6268175537730932, abs=1e-10)
 
@@ -293,8 +300,6 @@ class TestScanInterval:
             scan_interval(4, 1)
         with pytest.raises(ParameterRangeError):
             scan_interval(4, 5)
-        with pytest.raises(ParameterRangeError):
-            scan_interval(4, 2, base_grid=8)
 
 
 class TestScanFolds:
@@ -319,48 +324,12 @@ class TestScanFolds:
         monkeypatch.setattr(multizeta_module, "_zeta_rows", counted)
         assert main(["census", "--r-max", "8"]) == 0
         capsys.readouterr()
-        # Intervals k = 2..8, one scan table of 4g - 3 points each; every
-        # bracket of the run is refined together in a few more tables.
-        scan = [n for n in sizes if n == 4 * BASE_GRID - 3]
+        # Intervals k = 2..8, one table of 3n points each (the nodes of
+        # the n- and 2n-node proxies); every root of the run is bracketed
+        # and refined together in a few more tables.
+        scan = [n for n in sizes if n == 3 * zero_finder._PROXY_NODES]
         assert len(scan) == 7
         assert len(sizes) - len(scan) <= 12
-
-    @pytest.mark.parametrize(
-        "flipped,counts,stable", [(1, (1, 1, 3, 3), False), (2, (1, 3, 3, 3), True)]
-    )
-    def test_unsettled_count_adds_only_the_midpoints(
-        self, monkeypatch, flipped, counts, stable
-    ):
-        # Flip the sign of one 3-fold value on the finest grid: index 1 is
-        # seen by density 4g - 3 only, index 2 by 2g - 1 and 4g - 3.
-        tables = []
-        real_table = zero_finder._fold_table
-
-        def table(r, s):
-            tables.append(np.array(s))
-            folds = real_table(r, s)
-            if len(tables) == 1:
-                folds[3][flipped] = -folds[3][flipped]
-            return folds
-
-        monkeypatch.setattr(zero_finder, "_fold_table", table)
-        monkeypatch.setattr(
-            zero_finder, "refine_roots", lambda brackets: tuple((a, b) for _, a, b in brackets)
-        )
-        g = 16
-        scans = scan_folds(2, [2, 3], base_grid=g)
-        assert scans[2].grid_counts == (1, 1, 1)
-        assert scans[2].count_stable
-        assert scans[3].grid_counts == counts
-        assert scans[3].count_stable is stable
-        coarse, mid = tables
-        assert coarse.size == 4 * g - 3
-        assert mid.size == 4 * g - 4
-        lo, hi = coarse[0], coarse[-1]
-        np.testing.assert_allclose(mid, np.linspace(lo, hi, 8 * g - 7)[1::2], rtol=1e-15)
-        width = (hi - lo) / (8 * g - 8)
-        for a, b in scans[3].zeros:
-            assert b - a == pytest.approx(width, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(ParameterRangeError):
@@ -369,8 +338,82 @@ class TestScanFolds:
             scan_folds(3, [3, 2])
         with pytest.raises(ParameterRangeError):
             scan_folds(3, [3, SCAN_R_MAX + 1])
-        with pytest.raises(ParameterRangeError):
-            scan_folds(3, [3], base_grid=15)
+
+
+ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json"
+
+
+class TestChebyshevProxy:
+    @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
+    def test_counts_are_the_conjecture_and_resolved(self, k, monkeypatch):
+        resolved = []
+        proxy_roots = zero_finder._proxy_roots
+
+        def recorded(*args):
+            found = proxy_roots(*args)
+            resolved.append(found[2])
+            return found
+
+        monkeypatch.setattr(zero_finder, "_proxy_roots", recorded)
+        scans = [scan for scan, _ in zero_finder._scan_grid(k, range(k, SCAN_R_MAX + 1))]
+        assert [scan.grid_counts for scan in scans] == [
+            (r // k, r // k) for r in range(k, SCAN_R_MAX + 1)
+        ]
+        assert all(scan.count_stable for scan in scans)
+        assert len(resolved) == 2 * len(scans) and all(resolved)
+
+    @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
+    def test_nodes_clear_the_pole_guard(self, k):
+        for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
+            s = zero_finder._proxy_nodes(k, n)
+            assert s.size == n
+            assert np.all((1.0 / k < s) & (s < 1.0 / (k - 1)))
+            assert min(s.min() - 1.0 / k, 1.0 / (k - 1) - s.max()) > POLE_GUARD_RADIUS
+
+    def test_double_root_is_one_suspect(self, capsys, monkeypatch):
+        # A 2-fold function on (1/2, 1) with a double root at 0.7 and the
+        # poles of the real one at both ends: the proxy sees one near-real
+        # pair, which is no zero and makes the count unstable.
+        c = 0.7
+        _inject_folds(monkeypatch, lambda s: (s - c) ** 2 / ((2 * s - 1) * (1 - s) ** 2))
+        scan = scan_interval(2, 2)
+        assert scan.zeros == ()
+        assert scan.tangency_suspects == pytest.approx((c,), abs=1e-6)
+        assert not scan.count_stable
+        assert main(["zeros", "--r", "2"]) == 5
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["zeros"] == []
+        assert payload["intervals"][0]["count_stable"] is False
+
+    def test_noise_is_unresolved(self, monkeypatch):
+        # Values with no plateau to chop at: neither proxy resolves.
+        rng = np.random.default_rng(7)
+        _inject_folds(monkeypatch, lambda s: rng.standard_normal(s.size))
+        for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
+            _, _, resolved = zero_finder._proxy_roots(rng.standard_normal(n), 0.0, 1.0)
+            assert not resolved
+        ((scan, _),) = zero_finder._scan_grid(2, [2])
+        assert not scan.count_stable
+
+    def test_zeros_match_the_mpmath_oracle(self):
+        # Every zero the scan refines, for the fold counts the benchmark
+        # oracle holds, against its mpmath root (150 digits, tolerance 1e-60).
+        roots = json.loads(ORACLE.read_text())["roots"]
+        assert len(roots) == 81
+        top = max(int(key.split(",")[0]) for key in roots)
+        assert top == SCAN_R_MAX
+        seen = set()
+        for k in range(2, top + 1):
+            for r, scan in scan_folds(k, range(k, top + 1)).items():
+                expected = roots.get(f"{r},{k}")
+                if expected is None:
+                    continue
+                seen.add(f"{r},{k}")
+                found = [z.abscissa for z in scan.zeros]
+                assert len(found) == len(expected), (r, k)
+                for x, ref in zip(found, expected):
+                    assert abs(x - ref) <= 1e-12, (r, k, x, ref)
+        assert seen == set(roots)
 
 
 class TestFindExtrema:
