@@ -38,7 +38,9 @@ from .riemann_kernel import (
     riemann_zeta_alternating,
     riemann_zeta_grid,
 )
-from .zero_finder import BASE_GRID, IntervalScan, _interval_bounds, scan_folds, sign_profile
+from .zero_finder import IntervalScan, _interval_bounds, scan_folds, sign_profile
+
+_REFERENCE_CELLS = 4 * (4096 - 1)
 
 
 @dataclass(frozen=True)
@@ -296,9 +298,9 @@ def small_residuals(scans) -> Check:
     worst_ratio = 0.0
     for (r, k), scan in scans.items():
         # The scale is the larger end value of a fixed reference cell
-        # around each zero, 1/(4 (BASE_GRID - 1)) of the scanned interval.
+        # around each zero, 1/(4 (4096 - 1)) of the scanned interval.
         lo_edge, hi_edge = _interval_bounds(k)
-        h = (hi_edge - lo_edge) / (4 * (BASE_GRID - 1))
+        h = (hi_edge - lo_edge) / _REFERENCE_CELLS
         for rec in scan.zeros:
             cell_lo = lo_edge + int((rec.abscissa - lo_edge) / h) * h
             scale = max(

@@ -49,7 +49,7 @@ class IncompleteInputError(ValueError):
 
 
 class NonConvergenceError(ArithmeticError):
-    """An extrapolated limit failed its self-consistency test."""
+    """An extrapolated limit or a proxy count failed its self-consistency test."""
 
     def __init__(self, message: str, estimates: tuple[float, ...] = ()):
         self.estimates = estimates

@@ -14,9 +14,8 @@ straddles is flagged instead of trusted.  The roots of all intervals of
 a run are refined together to 1e-12-wide brackets: each step subdivides
 every open bracket and evaluates all their points in one fold table.
 
-Extrema go through the same solver: they are the zeros of the
-central-difference derivative, whose grid sign changes are subdivided
-exactly as the zeros' are, and a sign change from - to + is a minimum.
+Extrema are the roots of the same proxy's exact derivative, polished by
+one Newton step; an unsettled extremum count raises NonConvergenceError.
 """
 from __future__ import annotations
 
@@ -27,14 +26,12 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BracketError, ParameterRangeError, _check_int
+from .errors import BracketError, NonConvergenceError, ParameterRangeError, _check_int
 from .multizeta import _fold_table, multizeta_grid
 
 __all__ = [
     "SCAN_R_MAX",
-    "BASE_GRID",
     "BRACKET_WIDTH",
-    "DERIVATIVE_STEP",
     "ZeroRecord",
     "ExtremumRecord",
     "IntervalScan",
@@ -52,15 +49,8 @@ __all__ = [
 # return something slow and unvalidated.
 SCAN_R_MAX = 16
 
-# Grid of the derivative sign scan in `find_extrema`.
-BASE_GRID = 4096
-
 # Target width of a refined bracket.
 BRACKET_WIDTH = 1e-12
-
-# Step of the central-difference derivative whose sign changes are the
-# extrema.
-DERIVATIVE_STEP = 1e-6
 
 # The Chebyshev proxy: nodes of the coarser of its two interpolants (the
 # finer has twice as many), the chop level relative to the largest
@@ -208,15 +198,6 @@ def _fold_values(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return table[rows, np.arange(x.size)].reshape(x.shape)
 
 
-def _derivative_values(r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Central-difference derivative of fold r[j] at every point of row j
-    of x, step DERIVATIVE_STEP; both stencil points in one fold table."""
-    h = DERIVATIVE_STEP
-    f = _fold_values(r, np.concatenate([x + h, x - h], axis=1))
-    w = x.shape[1]
-    return (f[:, :w] - f[:, w:]) / (2.0 * h)
-
-
 def _straddles(f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
     return (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0.0) != (f_hi > 0.0))
 
@@ -242,16 +223,11 @@ def _rebracket(r: np.ndarray, centre: np.ndarray, widths: np.ndarray):
     return found, x[rows, c], x[rows, w + c], f[rows, c], f[rows, w + c]
 
 
-def _subdivide(
-    values, r: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-    tol: float,
-) -> None:
+def _subdivide(r, a, b, fa, fb, tol: float) -> None:
     """Shrink every bracket wider than tol, in place, to its first
     sign-change cell among _SUBDIVISIONS equal cells, all brackets per
-    fold table.  `values(r, x)` evaluates row j of x for fold count r[j]:
-    `_fold_values` for zeros, `_derivative_values` for extrema.  A
-    subdivision point that evaluates to exactly zero closes its bracket
-    on itself: both ends move to it, with value 0."""
+    fold table.  A subdivision point that evaluates to exactly zero
+    closes its bracket on itself: both ends move to it, with value 0."""
     fractions = np.arange(1, _SUBDIVISIONS) / _SUBDIVISIONS
     while True:
         idx = np.nonzero(b - a > tol)[0]
@@ -259,7 +235,7 @@ def _subdivide(
             return
         inner = a[idx, None] + (b - a)[idx, None] * fractions
         x = np.column_stack([a[idx], inner, b[idx]])
-        f = np.column_stack([fa[idx], values(r[idx], inner), fb[idx]])
+        f = np.column_stack([fa[idx], _fold_values(r[idx], inner), fb[idx]])
         # The first point whose sign leaves that of the left end closes the
         # first sign-change cell; an exact zero closes it on itself.
         j = np.argmax(np.sign(f[:, 1:]) != np.sign(f[:, :1]), axis=1) + 1
@@ -288,7 +264,7 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
         raise ParameterRangeError(
             f"bracket tolerance must lie in [1e-14, {BRACKET_WIDTH}]"
         )
-    rs, ks, los, his = [], [], [], []
+    rs, los, his = [], [], []
     for r, bracket_lo, bracket_hi in brackets:
         _check_int(r, "fold count", 2, SCAN_R_MAX)
         lo, hi = float(bracket_lo), float(bracket_hi)
@@ -301,7 +277,6 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
                 f"inter-asymptotic interval of the {r}-fold function"
             )
         rs.append(r)
-        ks.append(k)
         los.append(lo)
         his.append(hi)
     if not rs:
@@ -317,7 +292,12 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
             f"endpoints do not straddle a sign change: f({los[i]!r}) = "
             f"{float(fa[i])!r}, f({his[i]!r}) = {float(fb[i])!r}"
         )
-    _subdivide(_fold_values, r, a, b, fa, fb, tol)
+    return _refine(r, a, b, fa, fb, tol)
+
+
+def _refine(r, a, b, fa, fb, tol: float) -> tuple[ZeroRecord, ...]:
+    """The body of `refine_roots`, on checked brackets; updates a, b, fa, fb in place."""
+    _subdivide(r, a, b, fa, fb, tol)
     zero = np.nonzero(fb == 0.0)[0]
     if zero.size:
         # A record needs a strict sign change: a bracket closed on an
@@ -332,7 +312,7 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
                 f"no sign change survives around the exact zero at {root!r}"
             )
         a[zero], b[zero], fa[zero], fb[zero] = lo, hi, flo, fhi
-        _subdivide(_fold_values, r, a, b, fa, fb, tol)
+        _subdivide(r, a, b, fa, fb, tol)
         again = np.nonzero(fb == 0.0)[0]
         if again.size:
             raise BracketError(
@@ -397,14 +377,14 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
         residual[s] = np.abs(_fold_values(r[s], best[s, None])[:, 0])
     return tuple(
         ZeroRecord(
-            r=rs[i],
-            k=ks[i],
+            r=int(r[i]),
+            k=math.ceil(1.0 / (0.5 * (a[i] + b[i]))),
             bracket_lo=float(a[i]),
             bracket_hi=float(b[i]),
             abscissa=float(best[i]),
             residual=float(residual[i]),
         )
-        for i in range(len(rs))
+        for i in range(r.size)
     )
 
 
@@ -427,18 +407,31 @@ def _proxy_nodes(k: int, n: int) -> np.ndarray:
     return 1.0 / k + 0.5 * (1.0 / (k - 1) - 1.0 / k) * (1.0 + t)
 
 
-def _proxy_roots(
-    values: np.ndarray, x_lo: float, x_hi: float
-) -> tuple[list[float], list[float], bool]:
-    """Interpolate values at the first-kind nodes of x in [0, 1], chop the
-    series where its coefficients fall below _CHOP of the largest, and
-    take the roots of what is left with real part in (x_lo, x_hi).
-    Returns (roots, suspects, resolved): the real roots, ascending; a
-    near-real conjugate pair, or two real roots, closer than
-    _TANGENCY_GAP is one suspect at its real part or midpoint instead;
-    the series is resolved when the chop keeps at most half of it."""
-    from numpy.polynomial.chebyshev import chebroots
+def _proxy(k: int, r_values: list[int]):
+    """The proxies of (1/k, 1/(k-1)) for r_values from one fold table, each
+    as (full 256-node series, (chopped 128- and 256-node series), resolved),
+    and the guarded interval as x in [0, 1].  With the end poles cancelled
+    as the kernel forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), g_r is
+    F_r x^(r // k) (1 - x)^(r // (k - 1)) times a positive constant."""
+    n = _PROXY_NODES
+    s = np.concatenate([_proxy_nodes(k, n), _proxy_nodes(k, 2 * n)])
+    table = _fold_table(max(r_values), s)
+    below, above = k * s - 1.0, 1.0 - (k - 1) * s
+    proxies = []
+    for r in r_values:
+        g = table[r] * below ** (r // k) * above ** (r // (k - 1))
+        (_, coarse, coarse_ok), (c, fine, ok) = _proxy_series(g[:n]), _proxy_series(g[n:])
+        proxies.append((c, (coarse, fine), coarse_ok and ok))
+    lo, hi = _interval_bounds(k)
+    width = 1.0 / (k - 1) - 1.0 / k
+    return proxies, (lo - 1.0 / k) / width, (hi - 1.0 / k) / width
 
+
+def _proxy_series(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The Chebyshev series of the interpolant of values at the first-kind
+    nodes, the same series chopped where its coefficients fall below _CHOP
+    of the largest, and whether it is resolved: the chop keeps at most
+    half of it."""
     # The coefficients are a DCT-II of the values: an FFT of their even
     # extension, turned by a quarter-sample phase.
     n = values.size
@@ -447,7 +440,17 @@ def _proxy_roots(
     c[0] *= 0.5
     size = np.abs(c)
     length = 1 + int(np.flatnonzero(size > _CHOP * size.max()).max(initial=0))
-    x = 0.5 * (1.0 + chebroots(c[:length]))
+    return c, c[:length], length <= n // 2
+
+
+def _series_roots(c: np.ndarray, x_lo: float, x_hi: float) -> tuple[list[float], list[float]]:
+    """The roots of the Chebyshev series c in t = 2x - 1 whose x has real
+    part in (x_lo, x_hi), as (roots, suspects): the real roots, ascending;
+    a near-real conjugate pair, or two real roots, closer than
+    _TANGENCY_GAP is one suspect at its real part or midpoint instead."""
+    from numpy.polynomial.chebyshev import chebroots
+
+    x = 0.5 * (1.0 + chebroots(c))
     x = x[(x_lo < x.real) & (x.real < x_hi)]
     suspects = [float(z.real) for z in x if 0.0 < z.imag < 0.5 * _TANGENCY_GAP]
     roots: list[float] = []
@@ -456,7 +459,7 @@ def _proxy_roots(
             suspects.append(0.5 * (roots.pop() + z))
         else:
             roots.append(z)
-    return roots, sorted(suspects), length <= n // 2
+    return roots, sorted(suspects)
 
 
 def _scan_grid(k: int, r_values) -> list[tuple[IntervalScan, tuple[float, ...]]]:
@@ -468,22 +471,14 @@ def _scan_grid(k: int, r_values) -> list[tuple[IntervalScan, tuple[float, ...]]]
     for r in r_values:
         _check_interval(r, k)
     r_values = sorted(set(r_values))
-    n = _PROXY_NODES
-    s = np.concatenate([_proxy_nodes(k, n), _proxy_nodes(k, 2 * n)])
-    table = _fold_table(r_values[-1], s)
-    # The poles at both ends cancelled in the form the kernel gives them,
-    # 1 / (k s - 1) and 1 / ((k - 1) s - 1), so every proxy function is
-    # analytic on the closed interval.
-    below, above = k * s - 1.0, 1.0 - (k - 1) * s
-    lo, hi = _interval_bounds(k)
+    proxies, x_lo, x_hi = _proxy(k, r_values)
     width = 1.0 / (k - 1) - 1.0 / k
-    x_lo, x_hi = (lo - 1.0 / k) / width, (hi - 1.0 / k) / width
     scans = []
-    for r in r_values:
-        g = table[r] * below ** (r // k) * above ** (r // (k - 1))
-        coarse, coarse_suspects, coarse_ok = _proxy_roots(g[:n], x_lo, x_hi)
-        roots, suspects, ok = _proxy_roots(g[n:], x_lo, x_hi)
-        settled = len(coarse) == len(roots) and coarse_ok and ok
+    for r, (_, chopped, resolved) in zip(r_values, proxies):
+        (coarse, coarse_suspects), (roots, suspects) = (
+            _series_roots(c, x_lo, x_hi) for c in chopped
+        )
+        settled = len(coarse) == len(roots) and resolved
         scan = IntervalScan(
             r=r,
             k=k,
@@ -500,12 +495,12 @@ def _refine_scans(proxy_scans) -> list[IntervalScan]:
     """The IntervalScans of `_scan_grid` results.  Every root of all of
     them is bracketed, in one fold table, by the first of the symmetric
     brackets root -+ _ROOT_BRACKETS that straddles a sign change, and
-    refined in one `refine_roots` batch.  A root that no bracket
-    straddles gives no zero and makes its interval unstable."""
+    refined in one batch from the end values that picked it.  A root that
+    no bracket straddles gives no zero and makes its interval unstable."""
     r = np.array([scan.r for scan, roots in proxy_scans for _ in roots], dtype=int)
     centre = np.array([x for _, roots in proxy_scans for x in roots], dtype=float)
-    held, lo, hi, _, _ = _rebracket(r, centre, _ROOT_BRACKETS)
-    zeros = iter(refine_roots(zip(r[held].tolist(), lo[held], hi[held])))
+    held, lo, hi, f_lo, f_hi = _rebracket(r, centre, _ROOT_BRACKETS)
+    zeros = iter(_refine(r[held], lo[held], hi[held], f_lo[held], f_hi[held], BRACKET_WIDTH))
     held = iter(held.tolist())
     scans = []
     for scan, roots in proxy_scans:
@@ -529,7 +524,7 @@ def scan_folds(k: int, r_values) -> dict[int, IntervalScan]:
     proxy, with its poles cancelled, is chopped at its coefficient
     plateau, and its real roots inside the interval are the zero counts.
     Each root of the 256-node proxy is bracketed at 1e-10, 1e-8 or 1e-6
-    and refined by `refine_roots`; zeros come in ascending order.  The
+    and refined like `refine_roots`; zeros come in ascending order.  The
     count is unstable unless both proxies give it, both resolve, neither
     suspects a tangency and every root brackets.  Returns one
     IntervalScan per fold count, keyed by r.
@@ -543,47 +538,51 @@ def scan_interval(r: int, k: int) -> IntervalScan:
     return scan_folds(k, [r])[r]
 
 
-def find_extrema(r: int, k: int, base_grid: int = BASE_GRID) -> tuple[ExtremumRecord, ...]:
+def _extremum_series(c: np.ndarray, m_a: int, m_b: int) -> np.ndarray:
+    """h = x (1 - x) g' - (m_a (1 - x) - m_b x) g for the series c of a
+    proxy g in t = 2x - 1: x^(m_a+1) (1 - x)^(m_b+1) F' times a positive
+    constant, so its roots are the extrema of F and its sign that of F'."""
+    from numpy.polynomial.chebyshev import chebder, chebmul, chebsub
+
+    # x (1 - x) d/dx = (1 - t^2)/2 d/dt, dt/dx = 2 included, = (T_0 - T_2)/4 d/dt.
+    slope = chebmul([0.25, 0.0, -0.25], chebder(c))
+    return chebsub(slope, chebmul([(m_a - m_b) / 2, -(m_a + m_b) / 2], c))
+
+
+def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     """Locate the local extrema of the r-fold function in (1/k, 1/(k-1)).
 
-    The extrema are the zeros of the central-difference derivative
-    (F(x + h) - F(x - h)) / 2h, h = DERIVATIVE_STEP, found by the zero
-    solver: its sign changes on a grid of base_grid (an integer >= 16)
-    points are shrunk together to BRACKET_WIDTH by the subdivision
-    `refine_roots` uses, with both stencil points of every step in one
-    fold table, and each abscissa is the secant point of its final
-    bracket, or the subdivision point where the derivative came out
-    exactly zero.  A derivative that changes sign from - to + marks a
-    minimum, from + to - a maximum.  The values come from one fold table
-    over all the abscissas.
+    They are the real roots, in the guarded interval, of the zeros'
+    Chebyshev proxy g (see `scan_folds`) turned into its exact derivative
+    with the poles' share taken out: h = x (1 - x) g' - (m_a (1 - x) -
+    m_b x) g, m_a = r // k, m_b = r // (k - 1), has the sign of F'.  Each
+    root of the 256-node proxy gets one Newton step on h from the full
+    series; h rising through it marks a minimum.  NonConvergenceError is
+    raised unless both proxies give the count, resolve and suspect no
+    tangency.  Values come from one fold table; records ascend.
     """
+    from numpy.polynomial.chebyshev import chebder, chebval
+
     _check_interval(r, k)
-    _check_int(base_grid, "grid", 16)
-    h = DERIVATIVE_STEP
-    lo, hi = _interval_bounds(k)
-    # The stencil reaches h beyond the grid, so pull the grid in by h.
-    s = np.linspace(lo + h, hi - h, base_grid)
-    deriv = _derivative_values(np.array([r]), s[None, :])[0]
-    sign = np.sign(deriv)
-    cells = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    if cells.size == 0:
-        return ()
-    rs = np.full(cells.size, r)
-    a, b = s[cells], s[cells + 1]
-    fa, fb = deriv[cells], deriv[cells + 1]
-    minimum = fa < 0.0
-    _subdivide(_derivative_values, rs, a, b, fa, fb, BRACKET_WIDTH)
-    x = _secant(a, b, fa, fb)
-    value = _fold_values(rs, x[:, None])[:, 0]
-    return tuple(
-        ExtremumRecord(
-            r=r,
-            k=k,
-            abscissa=float(x[i]),
-            value=float(value[i]),
-            kind="minimum" if minimum[i] else "maximum",
+    m_a, m_b = r // k, r // (k - 1)
+    ((c, chopped, resolved),), x_lo, x_hi = _proxy(k, [r])
+    (coarse, coarse_suspects), (roots, suspects) = (
+        _series_roots(_extremum_series(s, m_a, m_b), x_lo, x_hi) for s in chopped
+    )
+    if len(coarse) != len(roots) or not resolved or coarse_suspects or suspects:
+        raise NonConvergenceError(
+            f"extrema of the {r}-fold function in (1/{k}, 1/{k - 1}) did not settle: "
+            f"{len(coarse)} and {len(roots)} roots, resolved {resolved}"
         )
-        for i in range(cells.size)
+    h = _extremum_series(c, m_a, m_b)
+    t = 2.0 * np.array(roots) - 1.0
+    slope = chebval(t, chebder(h))
+    t = t - chebval(t, h) / slope
+    x = 1.0 / k + (1.0 / (k - 1) - 1.0 / k) * 0.5 * (1.0 + t)
+    value = _fold_values(np.full(x.size, r), x[:, None])[:, 0]
+    return tuple(
+        ExtremumRecord(r, k, float(a), float(v), "minimum" if d > 0.0 else "maximum")
+        for a, v, d in zip(x, value, slope)
     )
 
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mzr import (
-    BASE_GRID,
     BRACKET_WIDTH,
     BracketError,
     ExtremumRecord,
+    NonConvergenceError,
     POLE_GUARD_RADIUS,
     ParameterRangeError,
     SCAN_R_MAX,
@@ -329,7 +329,7 @@ class TestScanFolds:
         # and refined together in a few more tables.
         scan = [n for n in sizes if n == 3 * zero_finder._PROXY_NODES]
         assert len(scan) == 7
-        assert len(sizes) - len(scan) <= 12
+        assert len(sizes) - len(scan) <= 11
 
     def test_validation(self):
         with pytest.raises(ParameterRangeError):
@@ -347,14 +347,14 @@ class TestChebyshevProxy:
     @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
     def test_counts_are_the_conjecture_and_resolved(self, k, monkeypatch):
         resolved = []
-        proxy_roots = zero_finder._proxy_roots
+        proxy_series = zero_finder._proxy_series
 
-        def recorded(*args):
-            found = proxy_roots(*args)
+        def recorded(values):
+            found = proxy_series(values)
             resolved.append(found[2])
             return found
 
-        monkeypatch.setattr(zero_finder, "_proxy_roots", recorded)
+        monkeypatch.setattr(zero_finder, "_proxy_series", recorded)
         scans = [scan for scan, _ in zero_finder._scan_grid(k, range(k, SCAN_R_MAX + 1))]
         assert [scan.grid_counts for scan in scans] == [
             (r // k, r // k) for r in range(k, SCAN_R_MAX + 1)
@@ -390,7 +390,7 @@ class TestChebyshevProxy:
         rng = np.random.default_rng(7)
         _inject_folds(monkeypatch, lambda s: rng.standard_normal(s.size))
         for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
-            _, _, resolved = zero_finder._proxy_roots(rng.standard_normal(n), 0.0, 1.0)
+            _, _, resolved = zero_finder._proxy_series(rng.standard_normal(n))
             assert not resolved
         ((scan, _),) = zero_finder._scan_grid(2, [2])
         assert not scan.count_stable
@@ -458,9 +458,9 @@ class TestFindExtrema:
         )
 
     @pytest.mark.parametrize("bad", [1, 15, -5, 2.5, True, None])
-    def test_grid_validation(self, bad):
+    def test_interval_validation(self, bad):
         with pytest.raises(ParameterRangeError):
-            find_extrema(6, 2, base_grid=bad)
+            find_extrema(6, bad)
 
     def test_against_mpmath_derivative(self):
         # Every extremum for r = 4..8 within 1e-10 of the root of the
@@ -495,25 +495,55 @@ class TestFindExtrema:
                         count += 1
         assert count == 13
 
-    def test_exact_zero_of_the_derivative(self, monkeypatch):
-        # A fold table whose central difference is exactly zero at the
-        # fifth point of the first subdivision of one scan cell, and of the
-        # sign of x - c everywhere else it is evaluated.
-        h = zero_finder.DERIVATIVE_STEP
-        lo = 0.5 + delta_exclusion(2)
-        hi = 1.0 - delta_exclusion(1)
-        s = np.linspace(lo + h, hi - h, BASE_GRID)
-        a, b = s[1000], s[1001]
-        c = a + (b - a) * (5 / 32)
-        sizes = _inject_folds(monkeypatch, lambda x: np.round((x - c) / h) ** 2)
-        records = find_extrema(4, 2)
-        # The grid with both stencils in one table, one subdivision that
-        # lands on the zero and closes the bracket there, then the values.
-        assert sizes == [2 * BASE_GRID, 2 * 31, 1]
-        assert len(records) == 1
-        assert records[0].abscissa == c
-        assert records[0].kind == "minimum"
-        assert records[0].value == 0.0
+    def test_sixteen_fold_against_mpmath_derivative(self):
+        # The derivative of the recursion at 30 digits changes sign across
+        # every extremum of the 16-fold function, within 1e-12 each side.
+        mpmath = pytest.importorskip("mpmath")
+        count = 0
+        with mpmath.workdps(30):
+            for k in range(2, 17):
+                for record in find_extrema(16, k):
+                    x = mpmath.mpf(record.abscissa)
+                    left = _mp_derivative(mpmath, 16, x - mpmath.mpf("1e-12"))
+                    right = _mp_derivative(mpmath, 16, x + mpmath.mpf("1e-12"))
+                    assert (left < 0 < right) == (record.kind == "minimum"), (k, record)
+                    assert (left > 0 > right) == (record.kind == "maximum"), (k, record)
+                    count += 1
+        assert count == 19
+
+    def test_every_interval_settles_and_noise_raises(self, capsys, monkeypatch):
+        records = {
+            (r, k): find_extrema(r, k)
+            for r in range(2, SCAN_R_MAX + 1)
+            for k in range(2, r + 1)
+        }
+        assert sum(map(len, records.values())) == 108
+        for found in records.values():
+            assert all(a.kind != b.kind for a, b in zip(found, found[1:]))
+        # Values with no plateau to chop at: no count can be trusted.
+        rng = np.random.default_rng(7)
+        _inject_folds(monkeypatch, lambda s: rng.standard_normal(s.size))
+        with pytest.raises(NonConvergenceError):
+            find_extrema(4, 2)
+        assert main(["extrema", "--r", "4"]) == 4
+        assert capsys.readouterr().out == ""
+
+
+def _mp_derivative(mpmath, r, x):
+    """d/ds of the r-fold function at x, through the Newton recursion and
+    mpmath's zeta and zeta', at the working precision."""
+    zs = [mpmath.zeta(i * x) for i in range(1, r + 1)]
+    dzs = [i * mpmath.zeta(i * x, derivative=1) for i in range(1, r + 1)]
+    e, de = [mpmath.mpf(1)], [mpmath.mpf(0)]
+    for j in range(1, r + 1):
+        acc = dacc = 0
+        for i in range(1, j + 1):
+            sign = (-1) ** (i - 1)
+            acc += sign * e[j - i] * zs[i - 1]
+            dacc += sign * (de[j - i] * zs[i - 1] + e[j - i] * dzs[i - 1])
+        e.append(acc / j)
+        de.append(dacc / j)
+    return de[r]
 
 
 class TestSignProfile:
