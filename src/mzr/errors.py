@@ -49,7 +49,8 @@ class IncompleteInputError(ValueError):
 
 
 class NonConvergenceError(ArithmeticError):
-    """An extrapolated limit or a proxy count failed its self-consistency test."""
+    """An extrapolated limit or a proxy count failed its self-consistency
+    test, or a value lies below the double range."""
 
     def __init__(self, message: str, estimates: tuple[float, ...] = ()):
         self.estimates = estimates

@@ -5,14 +5,20 @@ to the positive real line through the Newton-identity recursion
 
     j * zeta_j(s) = sum_{i=1}^{j} (-1)^(i-1) zeta_{j-i}(s) zeta(i*s),
 
-seeded with zeta_0 = 1, so a single evaluation costs r Riemann-zeta calls
-plus O(r^2) arithmetic.  Closed forms for r = 2, 3, 4 and a truncated-sum
-oracle over the absolutely convergent region are kept as independent
-cross-checks.
+seeded with zeta_0 = 1.  For s <= 1 (and for r = 1) a scalar evaluation
+runs it on r Riemann-zeta calls.  Above s = 1 the recursion would cancel
+O(1) terms down to values near (r!)^(-s), so there the sum is split at
+N = r + 8 instead: zeta_r(s) = sum_j e_{r-j}(head) e_j(tail), with the
+head's elementary symmetric functions of m^(-s), m < N, from the
+all-positive product expansion, and the tail's from the recursion on the
+small Euler-Maclaurin power sums sum_{m >= N} m^(-i s).  Closed forms for
+r = 2, 3, 4 and a truncated-sum oracle over the absolutely convergent
+region are kept as independent cross-checks.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,11 +27,12 @@ import numpy as np
 from .errors import (
     DomainError,
     EmptySumError,
+    NonConvergenceError,
     ParameterRangeError,
     PoleProximityError,
     _check_int,
 )
-from .riemann_kernel import POLE_GUARD_RADIUS, _zeta_rows, riemann_zeta
+from .riemann_kernel import POLE_GUARD_RADIUS, _tail, _zeta_rows, riemann_zeta
 
 __all__ = [
     "R_MAX",
@@ -71,8 +78,19 @@ class SymmetricFunctionState:
     power_sums: tuple[float, ...]
 
 
+# The head of the split above s = 1 is m < r + _HEAD_EXTRA: it must hold
+# more than r terms, or e_r(head) is empty and the tail recursion cancels.
+_HEAD_EXTRA = 8
+
+
 def multizeta(r: int, s: float) -> float:
     """Evaluate the r-fold multiple zeta value at real s >= 0 away from poles.
+
+    For r = 1 or s <= 1, the Newton recursion on zeta(i*s), i = 1..r.  For
+    r >= 2 and s > 1, the head/tail split of the module docstring, which
+    cancels nothing; NonConvergenceError is raised where its value lies
+    below the normal double range (sys.float_info.min), since 0.0 or a
+    subnormal would be wrong in every digit.
 
     Raises PoleProximityError (naming k and the pole order) within the
     guard radius of any 1/k, k <= r.
@@ -80,8 +98,35 @@ def multizeta(r: int, s: float) -> float:
     _check_int(r, "fold count", 1, R_MAX)
     s = float(s)
     _check_abscissa(r, s)
+    if s > 1.0 and r > 1:
+        return _split(r, s)
     # zeta(i*s) for i = 1..r, computed once per call (kept local for purity).
     return _newton([riemann_zeta(i * s) for i in range(1, r + 1)])[r]
+
+
+def _split(r: int, s: float) -> float:
+    """zeta_r(s) for s > 1 and r >= 2 as sum_j e_{r-j}(head) e_j(tail),
+    the head m < n = r + _HEAD_EXTRA and the tail m >= n.  The tail power
+    sums q_i come from `_tail` at sigma = i s, the grid kernel's remainder,
+    with n^(-i s) chained from one power; they shrink like n^(1 - i s), so
+    their recursion cancels little."""
+    n = r + _HEAD_EXTRA
+    head = _product_expansion((np.arange(1, n) ** -s).tolist(), r)
+    step = float(n) ** -s
+    power = step
+    q = []
+    for i in range(1, r + 1):
+        q.append(_tail(0.0, i * s, float(n), power))
+        power = power * step
+    tail = _newton(q)
+    value = 0.0
+    for j in range(r + 1):  # left to right: builtin sum() compensates on 3.12
+        value += head[r - j] * tail[j]
+    if not value >= sys.float_info.min:
+        raise NonConvergenceError(
+            f"the {r}-fold function at s = {s!r} lies below the double range"
+        )
+    return value
 
 
 def _newton(p, one=1.0) -> list:
@@ -133,8 +178,12 @@ def multizeta_grid(r: int, s: np.ndarray) -> np.ndarray:
 
     Every element must satisfy the same domain and pole-guard rules as the
     scalar path.  Values are pointwise: each depends only on its own
-    abscissa, never on the other elements, and may differ from the scalar
-    path by a few ulp, since the zeta sums are taken in another order.
+    abscissa, never on the other elements.  For s <= 1 they may differ
+    from the scalar path by a few ulp, since the zeta sums are taken in
+    another order.  For s > 1 the grid keeps the recursion, which cancels
+    O(1) terms down to values near (r!)^(-s): its absolute error is about
+    1e-16, so from r = 5 or so its relative error grows, to order 1 at
+    (16, 2.0); the scalar path's head/tail split does not cancel.
     Fold j of a table built for any r >= j equals `multizeta_grid(j, s)`
     bit for bit.
     """
@@ -192,13 +241,19 @@ def symmetric_state(x: Sequence[float], r: int) -> SymmetricFunctionState:
         raise ParameterRangeError(
             f"order {r} exceeds input length {len(vals)}"
         )
-    # e_j updated element by element: prod (1 + x_m t) coefficient extraction.
-    elem = [1.0] + [0.0] * r
-    for v in vals:
-        for j in range(min(r, len(elem) - 1), 0, -1):
-            elem[j] += v * elem[j - 1]
     power = [sum(v ** i for v in vals) for i in range(1, r + 1)]
-    return SymmetricFunctionState(tuple(elem), tuple(power))
+    return SymmetricFunctionState(tuple(_product_expansion(vals, r)), tuple(power))
+
+
+def _product_expansion(values: list[float], r: int) -> list[float]:
+    """e_0 .. e_r of the values, the coefficients of prod (1 + v t) taken
+    one factor at a time; after `count` factors only e_0 .. e_count are
+    nonzero, so the update stops there."""
+    elem = [1.0] + [0.0] * r
+    for count, v in enumerate(values, 1):
+        for j in range(min(r, count), 0, -1):
+            elem[j] += v * elem[j - 1]
+    return elem
 
 
 def newton_identity_check(x: Sequence[float], r: int) -> float:

@@ -6,7 +6,8 @@ Two independent evaluators are provided on purpose:
   integral tail, the half-term, and Bernoulli-weighted corrections.  This
   is the production path.  On arrays, `_zeta_rows` evaluates zeta(i*s)
   for i = 1..r at once, with the configuration `riemann_zeta` would pick
-  for each point; `riemann_zeta_grid` is its first row.
+  for each point; `riemann_zeta_grid` is its first row.  Its remainder
+  block, `_tail`, also gives `multizeta` its tail power sums above s = 1.
 * `riemann_zeta_alternating` -- the alternating (eta) series with an
   Euler-transform acceleration of its tail.  Slower, kept as a structurally
   unrelated cross-check; the verify suite compares the two.
@@ -205,18 +206,30 @@ def _zeta_block(
         else:
             np.add(total, power, out=total, where=m < n)
             np.copyto(tail, power, where=m == n)
+    return _tail(total, sigma, n, tail, corrections)
+
+
+def _tail(total, sigma, n, tail, corrections=_CORRECTION_TERMS):
+    """total plus the Euler-Maclaurin remainder sum_{m >= n} m^(-sigma),
+    given tail = n^(-sigma): the integral term, the half term and the
+    Bernoulli corrections, added to total one by one in that order.
+
+    Only plain operators, and in-place ones only on a result made here,
+    so floats and arrays take the same IEEE steps and the caller's total
+    is left as it was.  Johansson (Numer. Algorithms 69, 2015) bounds the
+    truncation."""
     # n^(1-sigma) and n^(1-2j-sigma) are n^(-sigma) times powers of n, so
     # the integral tail and the corrections share the chained power.
     tail_n = n * tail
-    total += tail_n / (sigma - 1.0)
+    total = total + tail_n / (sigma - 1.0)
     total += 0.5 * tail
     # The corrections sum_j W_j rising_j n^(1-2j-sigma) by Horner's rule
     # in j, with rising_1 = sigma and rising_j / rising_(j-1) =
     # (sigma + 2j - 3)(sigma + 2j - 2).
     inv_n2 = 1.0 / (n * n)
-    acc = np.full_like(sigma, _CORRECTION_WEIGHT[corrections])
+    acc = _CORRECTION_WEIGHT[corrections]
     for j in range(corrections - 1, 0, -1):
-        acc *= sigma + (2 * j - 1)
+        acc = acc * (sigma + (2 * j - 1))
         acc *= sigma + 2 * j
         acc *= inv_n2
         acc += _CORRECTION_WEIGHT[j]

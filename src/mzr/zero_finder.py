@@ -542,11 +542,37 @@ def _extremum_series(c: np.ndarray, m_a: int, m_b: int) -> np.ndarray:
     """h = x (1 - x) g' - (m_a (1 - x) - m_b x) g for the series c of a
     proxy g in t = 2x - 1: x^(m_a+1) (1 - x)^(m_b+1) F' times a positive
     constant, so its roots are the extrema of F and its sign that of F'."""
-    from numpy.polynomial.chebyshev import chebder, chebmul, chebsub
+    from numpy.polynomial.chebyshev import chebmul, chebsub
 
     # x (1 - x) d/dx = (1 - t^2)/2 d/dt, dt/dx = 2 included, = (T_0 - T_2)/4 d/dt.
-    slope = chebmul([0.25, 0.0, -0.25], chebder(c))
+    slope = chebmul([0.25, 0.0, -0.25], _chebder(c))
     return chebsub(slope, chebmul([(m_a - m_b) / 2, -(m_a + m_b) / 2], c))
+
+
+def _chebder(c: np.ndarray) -> list[float]:
+    """numpy's `chebder(c)` for a series of at least two coefficients, its
+    recurrence step for step on Python floats: the same bits without a
+    numpy call per coefficient."""
+    c = c.tolist()
+    n = len(c) - 1
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def _chebval(t: float, c: list[float]) -> float:
+    """numpy's `chebval(t, c)` at one float t, for at least two
+    coefficients: its Clenshaw recurrence step for step on Python floats."""
+    x2 = 2 * t
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        c0, c1 = c[-i] - c1, c0 + c1 * x2
+    return c0 + c1 * t
 
 
 def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
@@ -561,8 +587,6 @@ def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     raised unless both proxies give the count, resolve and suspect no
     tangency.  Values come from one fold table; records ascend.
     """
-    from numpy.polynomial.chebyshev import chebder, chebval
-
     _check_interval(r, k)
     m_a, m_b = r // k, r // (k - 1)
     ((c, chopped, resolved),), x_lo, x_hi = _proxy(k, [r])
@@ -575,9 +599,10 @@ def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
             f"{len(coarse)} and {len(roots)} roots, resolved {resolved}"
         )
     h = _extremum_series(c, m_a, m_b)
-    t = 2.0 * np.array(roots) - 1.0
-    slope = chebval(t, chebder(h))
-    t = t - chebval(t, h) / slope
+    dh, h = _chebder(h), h.tolist()
+    t = [2.0 * x - 1.0 for x in roots]
+    slope = [_chebval(u, dh) for u in t]
+    t = np.array([u - _chebval(u, h) / d for u, d in zip(t, slope)])
     x = 1.0 / k + (1.0 / (k - 1) - 1.0 / k) * 0.5 * (1.0 + t)
     value = _fold_values(np.full(x.size, r), x[:, None])[:, 0]
     return tuple(

@@ -74,6 +74,18 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--r", "two", "--s", "2")
         assert code == 1
 
+    def test_deep_value_above_one(self, capsys):
+        # The Newton recursion printed 1.3877787807814457e-17 here.
+        code, out, _ = run(capsys, "eval", "--r", "16", "--s", "2")
+        assert code == 0
+        assert float(out) == pytest.approx(9.3349122371730e-22, rel=1e-13, abs=0)
+
+    def test_below_the_double_range_exits_four(self, capsys):
+        code, out, err = run(capsys, "eval", "--r", "32", "--s", "10")
+        assert code == 4
+        assert out == ""
+        assert "below the double range" in err
+
     def test_fold_count_out_of_range(self, capsys):
         code, _, err = run(capsys, "eval", "--r", "40", "--s", "2")
         assert code == 2

@@ -4,6 +4,7 @@ convergent region, and the finite Newton-identity machinery."""
 import itertools
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mzr import (
     DomainError,
     EmptySumError,
+    NonConvergenceError,
     ParameterRangeError,
     PoleProximityError,
     R_MAX,
@@ -25,7 +27,8 @@ from mzr import (
     symmetric_state,
     truncated_euler_zagier,
 )
-from mzr.riemann_kernel import _zeta_rows, bernoulli, default_config
+from mzr import riemann_kernel
+from mzr.riemann_kernel import _tail, _zeta_rows, bernoulli, default_config
 
 # Frozen values from a 40-digit independent evaluation: (r, s) -> value.
 MULTIZETA_SPOTS = {
@@ -55,7 +58,7 @@ TRUNCATED_SPOTS = {
 class TestRecursionValues:
     def test_double_zeta_at_two(self):
         # zeta_2(2) = pi^4/120 by Euler's identity.
-        assert multizeta(2, 2.0) == pytest.approx(math.pi**4 / 120.0, rel=1e-13)
+        assert multizeta(2, 2.0) == pytest.approx(math.pi**4 / 120.0, rel=1e-13, abs=0)
 
     def test_single_fold_is_riemann_zeta(self):
         for s in (0.3, 0.9, 1.5, 6.0):
@@ -64,12 +67,12 @@ class TestRecursionValues:
     @pytest.mark.parametrize("rs,expected", sorted(MULTIZETA_SPOTS.items()))
     def test_frozen_spot_values(self, rs, expected):
         r, s = rs
-        assert multizeta(r, s) == pytest.approx(expected, rel=5e-12)
+        assert multizeta(r, s) == pytest.approx(expected, rel=5e-12, abs=0)
 
     def test_deep_cancellation_spot(self):
-        # zeta_8(2) sits eight orders below the recursion's intermediates,
-        # so the meaningful tolerance is absolute.
-        assert multizeta(8, 2.0) == pytest.approx(2.531217404137028e-07, abs=1e-12)
+        # zeta_8(2) sits eight orders below the O(1) terms of the Newton
+        # recursion; the head/tail split never forms them.
+        assert multizeta(8, 2.0) == pytest.approx(2.531217404137028e-07, rel=1e-14, abs=0)
 
     def test_value_at_origin_is_central_binomial(self):
         # zeta_r(0) = (-1)^r C(2r, r) / 4^r, exactly.
@@ -103,7 +106,6 @@ class TestRecursionValues:
             multizeta(R_MAX + 1, 2.0)
         assert math.isfinite(multizeta(R_MAX, 2.0))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     @pytest.mark.parametrize("r,s", [(16, 2.0), (16, 3.0), (32, 2.0)])
     def test_deep_cancellation_against_mpmath(self, r, s):
         # The float recursion cancels O(1) terms down to 1e-22 .. 1e-60;
@@ -117,6 +119,54 @@ class TestRecursionValues:
                 e.append(sum(terms) / j)
             reference = float(e[r])
         assert multizeta(r, s) == pytest.approx(reference, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 8, 16, 24, 32])
+    def test_split_against_mpmath(self, r):
+        # The reference is the recursion in mpmath, with the working
+        # precision raised by the digits it cancels; values below the
+        # double range must raise instead.
+        mpmath = pytest.importorskip("mpmath")
+        for s in (1 + 1e-6, 1.001, 1.05, 1.5, 2.0, 3.7, 8.0, 20.0):
+            reference = _mp_fold(mpmath, r, s)
+            if reference < sys.float_info.min:
+                with pytest.raises(NonConvergenceError):
+                    multizeta(r, s)
+            else:
+                assert multizeta(r, s) == pytest.approx(float(reference), rel=1e-13, abs=0), s
+
+    @pytest.mark.parametrize("r,s", [(32, 10.0), (16, 30.0), (2, 1100.0), (3, 1e300)])
+    def test_below_the_double_range_raises(self, r, s):
+        # (32, 10.0) is about 2.9e-353: 0.0 would be wrong in every digit.
+        with pytest.raises(NonConvergenceError, match="below the double range"):
+            multizeta(r, s)
+
+    def test_small_values_inside_the_double_range(self):
+        # 2^-1000 + 2^-1000 3^-1000 + ..., the head alone; the recursion
+        # gave 0.0 here.
+        assert multizeta(2, 1000.0) == pytest.approx(2.0**-1000, rel=1e-15, abs=0)
+        assert multizeta(16, 20.0) == pytest.approx(6.28211594023455e-267, rel=1e-13, abs=0)
+
+
+def _mp_fold(mpmath, r, s, keep=30):
+    """zeta_r(s) by the Newton recursion on mpmath.zeta(i s), rerun with
+    the precision raised until `keep` digits survive its cancellation."""
+    dps = keep + 20
+    while True:
+        with mpmath.workdps(dps):
+            p = [mpmath.zeta(i * mpmath.mpf(s)) for i in range(1, r + 1)]
+            e, size = [mpmath.mpf(1)], [mpmath.mpf(1)]
+            for j in range(1, r + 1):
+                acc, mag = mpmath.mpf(0), mpmath.mpf(0)
+                for i in range(1, j + 1):
+                    term = e[j - i] * p[i - 1]
+                    acc += term if i % 2 else -term
+                    mag += size[j - i] * p[i - 1]
+                e.append(acc / j)
+                size.append(mag / j)
+            lost = float(mpmath.log10(size[r] / abs(e[r]))) if e[r] else dps
+            if lost <= dps - keep:
+                return +e[r]
+        dps = max(int(lost) + keep + 10, 2 * dps)
 
 
 def _reference_zeta(s):
@@ -146,19 +196,58 @@ def _reference_newton(p, one=1.0):
     return e
 
 
+def _reference_tail(total, sigma, n, tail, corrections=12):
+    """The grid kernel's remainder in its in-place array form."""
+    total = total.copy()
+    tail_n = n * tail
+    total += tail_n / (sigma - 1.0)
+    total += 0.5 * tail
+    weight = [float(bernoulli(2 * j)) / math.factorial(2 * j) for j in range(corrections + 1)]
+    inv_n2 = 1.0 / (n * n)
+    acc = np.full_like(sigma, weight[corrections])
+    for j in range(corrections - 1, 0, -1):
+        acc *= sigma + (2 * j - 1)
+        acc *= sigma + 2 * j
+        acc *= inv_n2
+        acc += weight[j]
+    total += sigma * inv_n2 * acc * tail_n
+    return total
+
+
 class TestBitIdentity:
     """The scalar path and the recursion may be reorganised for speed only
     when every value stays the same bit for bit."""
 
     def test_scalar_path_equals_reference(self):
+        # The paths that keep the recursion: r = 1 for every s, and s <= 1
+        # for every r (above 1 the head/tail split takes over).
         rng = random.Random(20)
         for r in range(1, R_MAX + 1):
             for _ in range(25):
-                s = rng.uniform(0.0, 4.0)
+                s = rng.uniform(0.0, 4.0 if r == 1 else 1.0)
                 if nearest_pole(r, s) is not None:
                     continue
                 p = [_reference_zeta(i * s) for i in range(1, r + 1)]
                 assert multizeta(r, s) == _reference_newton(p)[r], (r, s)
+
+    @pytest.mark.parametrize("r", [2, 16, 32])
+    def test_rows_keep_the_in_place_remainder(self, r, monkeypatch):
+        # Moving the remainder out of the grid kernel kept every bit.
+        x = np.random.default_rng(r).uniform(0.0, 4.0, 300)
+        x = x[[nearest_pole(r, float(v)) is None for v in x]]
+        rows = _zeta_rows(r, x)
+        monkeypatch.setattr(riemann_kernel, "_tail", _reference_tail)
+        assert np.array_equal(rows, _zeta_rows(r, x))
+
+    def test_tail_takes_the_same_steps_on_floats_and_arrays(self):
+        # The split above s = 1 calls the grid's remainder on floats.
+        rng = np.random.default_rng(9)
+        sigma = rng.uniform(1.0 + 1e-6, 600.0, 500)
+        n = rng.integers(10, 81, 500).astype(float)
+        tail = n ** -sigma
+        rows = _tail(np.zeros(500), sigma, n, tail)
+        for j in range(500):
+            assert _tail(0.0, float(sigma[j]), float(n[j]), float(tail[j])) == rows[j]
 
     @pytest.mark.parametrize("r", [1, 2, 9, 16, 32])
     def test_fold_table_equals_reference(self, r):
