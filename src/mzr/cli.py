@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -37,12 +36,12 @@ from .errors import (
 )
 from .multizeta import R_MAX, multizeta, multizeta_grid
 from .zero_finder import (
+    BRACKET_WIDTH,
     SCAN_R_MAX,
     _refine_scans,
     _scan_grid,
     delta_exclusion,
     find_extrema,
-    refine_roots,
 )
 
 __all__ = ["PlotSeries", "build_plot_series", "main"]
@@ -97,11 +96,13 @@ def build_plot_series(r: int, s_from: float, s_to: float, points: int) -> PlotSe
     return PlotSeries(r=r, samples=samples, excluded=tuple(gaps))
 
 
-def _scan_many(tasks: list[tuple[int, list[int]]]) -> dict[tuple[int, int], object]:
+def _scan_many(
+    tasks: list[tuple[int, list[int]]], tol: float = BRACKET_WIDTH
+) -> dict[tuple[int, int], object]:
     """Scan many intervals.  Each task is (k, fold counts) and scans
-    interval k once for all of them; then every bracket of the run is
-    refined in one batch.  Results are keyed by (r, k)."""
-    scans = _refine_scans([g for k, r_values in tasks for g in _scan_grid(k, r_values)])
+    interval k once for all of them; then every root of the run is checked
+    at +-0.45 tol in one fold table.  Results are keyed by (r, k)."""
+    scans = _refine_scans([g for k, r_values in tasks for g in _scan_grid(k, r_values)], tol)
     return {(scan.r, scan.k): scan for scan in scans}
 
 
@@ -138,24 +139,16 @@ def _cmd_plot(args) -> int:
 def _cmd_zeros(args) -> int:
     r = args.r
     _check_int(r, "fold count", 1, SCAN_R_MAX)
-    if not 1e-14 <= args.tol <= 1e-12:
-        raise ParameterRangeError(
-            f"bracket tolerance must lie in [1e-14, 1e-12], got {args.tol!r}"
-        )
     ks = [args.k] if args.k is not None else list(range(r, 1, -1))
     if args.k is not None and not 2 <= args.k <= r:
         raise ParameterRangeError(f"interval index {args.k} outside [2, {r}]")
-    found = _scan_many([(k, [r]) for k in ks])
-    scans = [found[(r, k)] for k in sorted(ks, reverse=True)]
-    zeros = [scan.zeros for scan in scans]
-    if args.tol < 1e-12:
-        zeros = _refine_with_tol(zeros, args.tol)
+    found = _scan_many([(k, [r]) for k in ks], args.tol)
     records = []
     intervals = []
     unstable = False
-    for scan, refined in zip(scans, zeros):
-        for rec in sorted(refined, key=lambda z: z.abscissa):
-            records.append(dataclasses.asdict(rec))
+    for k in sorted(ks, reverse=True):
+        scan = found[(r, k)]
+        records.extend(dataclasses.asdict(rec) for rec in scan.zeros)
         intervals.append(
             {
                 "k": scan.k,
@@ -167,23 +160,6 @@ def _cmd_zeros(args) -> int:
         unstable = unstable or not scan.count_stable
     _print_json({"r": r, "zeros": records, "intervals": intervals})
     return 5 if unstable else 0
-
-
-def _refine_with_tol(groups, tol):
-    # Re-refine from slightly widened brackets so the tightened tolerance
-    # is actually exercised; every record of the run in one batch, handed
-    # back in the groups given.
-    refined = iter(
-        refine_roots(
-            [
-                (rec.r, rec.bracket_lo - 1e-9, rec.bracket_hi + 1e-9)
-                for group in groups
-                for rec in group
-            ],
-            tol,
-        )
-    )
-    return [tuple(itertools.islice(refined, len(group))) for group in groups]
 
 
 def _cmd_extrema(args) -> int:
@@ -300,7 +276,7 @@ def _build_parser() -> _Parser:
         "--tol",
         type=float,
         default=1e-12,
-        help="bracket width target (at most 1e-12)",
+        help="bracket width, 1e-14 to 1e-12: each zero changes sign across 0.9 tol",
     )
     p.set_defaults(func=_cmd_zeros)
 

@@ -155,7 +155,8 @@ def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
     The points are validated once against the domain and the pole guards
     of the r-fold function, which cover those of every lower fold; zeta(i*s)
     for i = 1..r comes from one `_zeta_rows` call and the recursion runs
-    once; entry j is the j-fold function on the grid.
+    once; entry j is the j-fold function on the grid.  Above s = 1 the
+    recursion cancels (see `multizeta_grid`); scans stay below 1.
     """
     _check_int(r, "fold count", 1, R_MAX)
     s = np.asarray(s, dtype=float)
@@ -173,21 +174,25 @@ def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
 
 
 def multizeta_grid(r: int, s: np.ndarray) -> np.ndarray:
-    """Vectorised `multizeta` over a 1-d array of abscissas: the last fold
-    of `_fold_table(r, s)`.
+    """Vectorised `multizeta` over a 1-d array of abscissas.
 
     Every element must satisfy the same domain and pole-guard rules as the
     scalar path.  Values are pointwise: each depends only on its own
-    abscissa, never on the other elements.  For s <= 1 they may differ
-    from the scalar path by a few ulp, since the zeta sums are taken in
-    another order.  For s > 1 the grid keeps the recursion, which cancels
-    O(1) terms down to values near (r!)^(-s): its absolute error is about
-    1e-16, so from r = 5 or so its relative error grows, to order 1 at
-    (16, 2.0); the scalar path's head/tail split does not cancel.
-    Fold j of a table built for any r >= j equals `multizeta_grid(j, s)`
-    bit for bit.
+    abscissa, never on the other elements.  For r = 1 or s <= 1 they are
+    the last fold of `_fold_table(r, s)`, and may differ from the scalar
+    path by a few ulp, since the zeta sums are taken in another order; fold
+    j of a table built for any r >= j is `multizeta_grid(j, s)` there, bit
+    for bit.  For r >= 2 and s > 1 each value is the scalar path's
+    head/tail split, bit for bit, as the table's recursion would cancel
+    O(1) terms down to values near (r!)^(-s); a value below the double
+    range raises NonConvergenceError.
     """
-    return _fold_table(r, s)[r]
+    values = _fold_table(r, s)[r]
+    if r > 1:
+        s = np.asarray(s, dtype=float)
+        for j in np.flatnonzero(s > 1.0).tolist():
+            values[j] = _split(r, float(s[j]))
+    return values
 
 
 def closed_form(r: int, s: float) -> float:

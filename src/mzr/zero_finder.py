@@ -7,19 +7,21 @@ same zeros inside it, interpolated at 128 and at 256 first-kind nodes.
 One fold table over the 384 nodes serves every fold count that needs the
 interval.  Each series is chopped at its coefficient plateau (Aurentz &
 Trefethen, ACM TOMS 43, 2017) and its roots are colleague-matrix
-eigenvalues (Boyd, SIAM J. Numer. Anal. 40, 2002).  A count that
+eigenvalues (Boyd, SIAM J. Numer. Anal. 40, 2002).  Each root of the
+256-node proxy is polished by one Newton step on the full series, and
+the roots of all intervals of a run are checked together in one fold
+table: a root is a zero if the function changes sign across its
+0.9e-12-wide bracket, and its residual is |F| at the root.  A count that
 differs between the two proxies, an unresolved proxy, a near-real root
-pair (a possible even-order zero) or a root that no narrow bracket
-straddles is flagged instead of trusted.  The roots of all intervals of
-a run are refined together to 1e-12-wide brackets: each step subdivides
-every open bracket and evaluates all their points in one fold table.
+pair (a possible even-order zero) or a root that fails its check is
+flagged instead of trusted.
 
 Extrema are the roots of the same proxy's exact derivative, polished by
-one Newton step; an unsettled extremum count raises NonConvergenceError.
+the same Newton step; an unsettled extremum count raises
+NonConvergenceError.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -49,7 +51,7 @@ __all__ = [
 # return something slow and unvalidated.
 SCAN_R_MAX = 16
 
-# Target width of a refined bracket.
+# Widest bracket of a zero, and the default bracket tolerance.
 BRACKET_WIDTH = 1e-12
 
 # The Chebyshev proxy: nodes of the coarser of its two interpolants (the
@@ -59,17 +61,6 @@ BRACKET_WIDTH = 1e-12
 _PROXY_NODES = 128
 _CHOP = 1e-10
 _TANGENCY_GAP = 1e-3
-
-# Half-widths of the symmetric brackets tried around each proxy root.
-_ROOT_BRACKETS = np.array([1e-10, 1e-8, 1e-6])
-
-# Cells per subdivision step: a 2e-8 bracket around a proxy root reaches
-# 1e-12 in three steps, and one step of every bracket is one fold table.
-_SUBDIVISIONS = 32
-
-# Stencil half-width for the post-bracketing Newton polish: wide enough
-# that the probed values clear the evaluation noise floor.
-_POLISH_STEP = 1e-8
 
 
 def delta_exclusion(k: int) -> float:
@@ -202,69 +193,19 @@ def _straddles(f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
     return (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0.0) != (f_hi > 0.0))
 
 
-def _secant(a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Secant point of each bracket, or its midpoint where the secant
-    point falls outside (as where a bracket closed on an exact zero)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = a - fa * (b - a) / (fb - fa)
-    return np.where((a < x) & (x < b), x, 0.5 * (a + b))
-
-
-def _rebracket(r: np.ndarray, centre: np.ndarray, widths: np.ndarray):
-    """First of the symmetric brackets centre -+ widths[c] that straddles
-    a sign change, for each centre; returns (found, lo, hi, f_lo, f_hi)."""
-    x = np.concatenate([centre[:, None] - widths, centre[:, None] + widths], axis=1)
-    f = _fold_values(r, x)
-    w = len(widths)
-    ok = _straddles(f[:, :w], f[:, w:])
-    c = ok.argmax(axis=1)
-    rows = np.arange(centre.size)
-    found = ok[rows, c]
-    return found, x[rows, c], x[rows, w + c], f[rows, c], f[rows, w + c]
-
-
-def _subdivide(r, a, b, fa, fb, tol: float) -> None:
-    """Shrink every bracket wider than tol, in place, to its first
-    sign-change cell among _SUBDIVISIONS equal cells, all brackets per
-    fold table.  A subdivision point that evaluates to exactly zero
-    closes its bracket on itself: both ends move to it, with value 0."""
-    fractions = np.arange(1, _SUBDIVISIONS) / _SUBDIVISIONS
-    while True:
-        idx = np.nonzero(b - a > tol)[0]
-        if idx.size == 0:
-            return
-        inner = a[idx, None] + (b - a)[idx, None] * fractions
-        x = np.column_stack([a[idx], inner, b[idx]])
-        f = np.column_stack([fa[idx], _fold_values(r[idx], inner), fb[idx]])
-        # The first point whose sign leaves that of the left end closes the
-        # first sign-change cell; an exact zero closes it on itself.
-        j = np.argmax(np.sign(f[:, 1:]) != np.sign(f[:, :1]), axis=1) + 1
-        rows = np.arange(idx.size)
-        a[idx], fa[idx] = x[rows, j - 1], f[rows, j - 1]
-        b[idx], fb[idx] = x[rows, j], f[rows, j]
-        zero = idx[fb[idx] == 0.0]
-        a[zero], fa[zero] = b[zero], 0.0
-
-
 def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]:
     """Refine sign-change brackets (r, lo, hi) of the r-fold functions to
     ZeroRecords, all brackets together.
 
-    Each bracket is checked as `refine_root` checks one.  Every step
-    evaluates the points of all brackets in one fold table, of which each
-    bracket reads its own fold; values are pointwise, so a record never
-    depends on the other brackets of the batch.  A bracket wider than
-    `tol` is cut into 32 equal cells and shrunk to the first that changes
-    sign, until it is at most `tol` wide (capped at 1e-12 so every record
-    meets the type invariant).  The abscissa is the secant point of the
-    final bracket, polished by at most two Newton steps; the reported
-    bracket is re-centred on it when the sign change holds there.
+    Each bracket is checked as `refine_root` checks one.  Each interval
+    that holds a bracket is scanned once, for the fold counts of its
+    brackets, as `scan_folds` scans it but with its roots checked at
+    +-0.45 tol (tol in [1e-14, 1e-12]); a bracket gets the first checked
+    root of its fold count inside it, and BracketError if there is none.
+    Scans and values are pointwise, so a record never depends on the other
+    brackets of the batch.
     """
-    if not 1e-14 <= tol <= BRACKET_WIDTH:
-        raise ParameterRangeError(
-            f"bracket tolerance must lie in [1e-14, {BRACKET_WIDTH}]"
-        )
-    rs, los, his = [], [], []
+    rs, ks, los, his = [], [], [], []
     for r, bracket_lo, bracket_hi in brackets:
         _check_int(r, "fold count", 2, SCAN_R_MAX)
         lo, hi = float(bracket_lo), float(bracket_hi)
@@ -277,115 +218,32 @@ def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]
                 f"inter-asymptotic interval of the {r}-fold function"
             )
         rs.append(r)
+        ks.append(k)
         los.append(lo)
         his.append(hi)
-    if not rs:
-        return ()
-    r = np.array(rs)
-    a, b = np.array(los), np.array(his)
-    ends = _fold_values(r, np.column_stack([a, b]))
-    fa, fb = ends[:, 0].copy(), ends[:, 1].copy()
-    bad = np.nonzero(~_straddles(fa, fb))[0]
+    ends = _fold_values(np.array(rs, dtype=int), np.column_stack([los, his]))
+    bad = np.nonzero(~_straddles(ends[:, 0], ends[:, 1]))[0]
     if bad.size:
         i = bad[0]
         raise BracketError(
             f"endpoints do not straddle a sign change: f({los[i]!r}) = "
-            f"{float(fa[i])!r}, f({his[i]!r}) = {float(fb[i])!r}"
+            f"{float(ends[i, 0])!r}, f({his[i]!r}) = {float(ends[i, 1])!r}"
         )
-    return _refine(r, a, b, fa, fb, tol)
-
-
-def _refine(r, a, b, fa, fb, tol: float) -> tuple[ZeroRecord, ...]:
-    """The body of `refine_roots`, on checked brackets; updates a, b, fa, fb in place."""
-    _subdivide(r, a, b, fa, fb, tol)
-    zero = np.nonzero(fb == 0.0)[0]
-    if zero.size:
-        # A record needs a strict sign change: a bracket closed on an
-        # exact zero is re-bracketed at the tolerance scale and shrunk
-        # again, once.
-        found, lo, hi, flo, fhi = _rebracket(
-            r[zero], b[zero], np.array([0.4, 2.0, 16.0]) * tol
-        )
-        if not found.all():
-            root = float(b[zero][~found][0])
+    folds: dict[int, set[int]] = {}
+    for r, k in zip(rs, ks):
+        folds.setdefault(k, set()).add(r)
+    proxies = [g for k, r_values in folds.items() for g in _scan_grid(k, r_values)]
+    zeros = {(scan.r, scan.k): scan.zeros for scan in _refine_scans(proxies, tol)}
+    records = []
+    for r, k, lo, hi in zip(rs, ks, los, his):
+        inside = [z for z in zeros[(r, k)] if lo < z.abscissa < hi]
+        if not inside:
             raise BracketError(
-                f"no sign change survives around the exact zero at {root!r}"
+                f"no root of the {r}-fold function in [{lo!r}, {hi!r}] "
+                "keeps a sign change across +-0.45 tol"
             )
-        a[zero], b[zero], fa[zero], fb[zero] = lo, hi, flo, fhi
-        _subdivide(r, a, b, fa, fb, tol)
-        again = np.nonzero(fb == 0.0)[0]
-        if again.size:
-            raise BracketError(
-                f"iteration keeps landing on an exact zero near {float(b[again[0]])!r}"
-            )
-    half = 0.45 * tol
-    collapsed = np.nonzero(b - a < 1e-14)[0]
-    if collapsed.size:
-        # A cell can come out narrower than 1e-14, leaving almost no
-        # representable interior point.  Re-bracket at the tolerance scale
-        # around the better endpoint.
-        c = collapsed
-        root = np.where(np.abs(fb[c]) <= np.abs(fa[c]), b[c], a[c])
-        found, lo, hi, flo, fhi = _rebracket(r[c], root, np.array([half]))
-        if not found.all():
-            raise BracketError(
-                f"sign change too shallow to re-bracket around {float(root[~found][0])!r}"
-            )
-        a[c], b[c], fa[c], fb[c] = lo, hi, flo, fhi
-    # Secant point of the final bracket, then a short Newton polish.  The
-    # endpoint values this close to the root are evaluation noise, so the
-    # secant alone can misplace the abscissa by the full bracket width
-    # (and noise can even push the exact crossing a sliver outside the
-    # bracket); the polish slope is taken on a stencil wide enough to
-    # clear the noise floor.  The stencil of a step is evaluated with the
-    # point it belongs to.
-    secant = _secant(a, b, fa, fb)
-    stencil = np.array([0.0, -_POLISH_STEP, _POLISH_STEP])
-    f = _fold_values(r, secant[:, None] + stencil)
-    x, fx, f_minus, f_plus = secant.copy(), f[:, 0], f[:, 1], f[:, 2]
-    best, fbest = x.copy(), np.abs(fx)
-    live = np.ones(r.size, dtype=bool)
-    for step in range(2):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            slope = (f_plus - f_minus) / (2.0 * _POLISH_STEP)
-            nxt = x - fx / slope
-        live &= np.isfinite(slope) & (slope != 0.0)
-        live &= (a - 4.0 * tol < nxt) & (nxt < b + 4.0 * tol)
-        idx = np.nonzero(live)[0]
-        if idx.size == 0:
-            break
-        f = _fold_values(r[idx], nxt[idx, None] + stencil[: 3 if step == 0 else 1])
-        better = np.abs(f[:, 0]) < fbest[idx]
-        live[idx[~better]] = False
-        idx, f = idx[better], f[better]
-        x[idx], fx[idx] = nxt[idx], f[:, 0]
-        best[idx], fbest[idx] = nxt[idx], np.abs(f[:, 0])
-        if step == 0:
-            f_minus[idx], f_plus[idx] = f[:, 1], f[:, 2]
-    # Re-centre the reported bracket on the polished root so the record's
-    # sign change is verified against the point actually reported.
-    held, lo, hi, _, _ = _rebracket(r, best, np.array([half]))
-    a, b = np.where(held, lo, a), np.where(held, hi, b)
-    residual = fbest.copy()
-    shallow = np.nonzero(~held)[0]
-    if shallow.size:
-        # Shallow or noisy crossing: keep the final bracket and the best
-        # estimate it contains (its secant point is inside by construction).
-        s = shallow
-        inside = (a[s] < best[s]) & (best[s] < b[s])
-        best[s] = np.where(inside, best[s], secant[s])
-        residual[s] = np.abs(_fold_values(r[s], best[s, None])[:, 0])
-    return tuple(
-        ZeroRecord(
-            r=int(r[i]),
-            k=math.ceil(1.0 / (0.5 * (a[i] + b[i]))),
-            bracket_lo=float(a[i]),
-            bracket_hi=float(b[i]),
-            abscissa=float(best[i]),
-            residual=float(residual[i]),
-        )
-        for i in range(r.size)
-    )
+        records.append(inside[0])
+    return tuple(records)
 
 
 def refine_root(
@@ -464,7 +322,8 @@ def _series_roots(c: np.ndarray, x_lo: float, x_hi: float) -> tuple[list[float],
 
 def _scan_grid(k: int, r_values) -> list[tuple[IntervalScan, tuple[float, ...]]]:
     """The proxy part of `scan_folds`: for every fold count, in ascending
-    r, its IntervalScan without zeros and the roots of its proxy."""
+    r, its IntervalScan without zeros and the roots of its 256-node proxy,
+    each after one Newton step on the full series."""
     r_values = list(r_values)
     if not r_values:
         raise ParameterRangeError("need at least one fold count")
@@ -474,9 +333,9 @@ def _scan_grid(k: int, r_values) -> list[tuple[IntervalScan, tuple[float, ...]]]
     proxies, x_lo, x_hi = _proxy(k, r_values)
     width = 1.0 / (k - 1) - 1.0 / k
     scans = []
-    for r, (_, chopped, resolved) in zip(r_values, proxies):
+    for r, (c, chopped, resolved) in zip(r_values, proxies):
         (coarse, coarse_suspects), (roots, suspects) = (
-            _series_roots(c, x_lo, x_hi) for c in chopped
+            _series_roots(s, x_lo, x_hi) for s in chopped
         )
         settled = len(coarse) == len(roots) and resolved
         scan = IntervalScan(
@@ -487,31 +346,35 @@ def _scan_grid(k: int, r_values) -> list[tuple[IntervalScan, tuple[float, ...]]]
             count_stable=settled and not (coarse_suspects or suspects),
             tangency_suspects=tuple(1.0 / k + width * x for x in suspects),
         )
-        scans.append((scan, tuple(1.0 / k + width * x for x in roots)))
+        t, _ = _newton_step(c, roots)
+        scans.append((scan, tuple((1.0 / k + width * 0.5 * (1.0 + t)).tolist())))
     return scans
 
 
-def _refine_scans(proxy_scans) -> list[IntervalScan]:
-    """The IntervalScans of `_scan_grid` results.  Every root of all of
-    them is bracketed, in one fold table, by the first of the symmetric
-    brackets root -+ _ROOT_BRACKETS that straddles a sign change, and
-    refined in one batch from the end values that picked it.  A root that
-    no bracket straddles gives no zero and makes its interval unstable."""
+def _refine_scans(proxy_scans, tol: float = BRACKET_WIDTH) -> list[IntervalScan]:
+    """The IntervalScans of `_scan_grid` results.  Every root x of all of
+    them is checked in one fold table, at x - h, x and x + h for
+    h = 0.45 tol: ends of opposite signs make it a zero with bracket
+    (x - h, x + h) and residual |F(x)|; otherwise it gives no zero and
+    makes its interval unstable."""
+    if not 1e-14 <= tol <= BRACKET_WIDTH:
+        raise ParameterRangeError(
+            f"bracket tolerance must lie in [1e-14, {BRACKET_WIDTH}], got {tol!r}"
+        )
+    h = 0.45 * tol
     r = np.array([scan.r for scan, roots in proxy_scans for _ in roots], dtype=int)
-    centre = np.array([x for _, roots in proxy_scans for x in roots], dtype=float)
-    held, lo, hi, f_lo, f_hi = _rebracket(r, centre, _ROOT_BRACKETS)
-    zeros = iter(_refine(r[held], lo[held], hi[held], f_lo[held], f_hi[held], BRACKET_WIDTH))
-    held = iter(held.tolist())
+    x = np.array([root for _, roots in proxy_scans for root in roots], dtype=float)
+    f = _fold_values(r, x[:, None] + np.array([-h, 0.0, h]))
+    checks = iter(zip(_straddles(f[:, 0], f[:, 2]).tolist(), np.abs(f[:, 1]).tolist()))
     scans = []
     for scan, roots in proxy_scans:
-        bracketed = [next(held) for _ in roots]
-        scans.append(
-            replace(
-                scan,
-                zeros=tuple(itertools.islice(zeros, sum(bracketed))),
-                count_stable=scan.count_stable and all(bracketed),
-            )
-        )
+        zeros, stable = [], scan.count_stable
+        for root in roots:
+            held, residual = next(checks)
+            if held:
+                zeros.append(ZeroRecord(scan.r, scan.k, root - h, root + h, root, residual))
+            stable = stable and held
+        scans.append(replace(scan, zeros=tuple(zeros), count_stable=stable))
     return scans
 
 
@@ -523,11 +386,11 @@ def scan_folds(k: int, r_values) -> dict[int, IntervalScan]:
     256 first-kind Chebyshev nodes of the interval.  Each fold count's
     proxy, with its poles cancelled, is chopped at its coefficient
     plateau, and its real roots inside the interval are the zero counts.
-    Each root of the 256-node proxy is bracketed at 1e-10, 1e-8 or 1e-6
-    and refined like `refine_roots`; zeros come in ascending order.  The
-    count is unstable unless both proxies give it, both resolve, neither
-    suspects a tangency and every root brackets.  Returns one
-    IntervalScan per fold count, keyed by r.
+    Each root x of the 256-node proxy gets one Newton step on the full
+    series and is a zero if F changes sign across x -+ 0.45e-12; zeros
+    come in ascending order.  The count is unstable unless both proxies
+    give it, both resolve, neither suspects a tangency and every root
+    passes its check.  Returns one IntervalScan per fold count, keyed by r.
     """
     return {scan.r: scan for scan in _refine_scans(_scan_grid(k, r_values))}
 
@@ -575,6 +438,15 @@ def _chebval(t: float, c: list[float]) -> float:
     return c0 + c1 * t
 
 
+def _newton_step(c: np.ndarray, roots) -> tuple[np.ndarray, list[float]]:
+    """One Newton step on the Chebyshev series c in t = 2x - 1 from each
+    root x in [0, 1]: the stepped t, and the slope dc/dt it used."""
+    dc, c = _chebder(c), c.tolist()
+    t = [2.0 * x - 1.0 for x in roots]
+    slope = [_chebval(u, dc) for u in t]
+    return np.array([u - _chebval(u, c) / d for u, d in zip(t, slope)]), slope
+
+
 def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     """Locate the local extrema of the r-fold function in (1/k, 1/(k-1)).
 
@@ -598,11 +470,7 @@ def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
             f"extrema of the {r}-fold function in (1/{k}, 1/{k - 1}) did not settle: "
             f"{len(coarse)} and {len(roots)} roots, resolved {resolved}"
         )
-    h = _extremum_series(c, m_a, m_b)
-    dh, h = _chebder(h), h.tolist()
-    t = [2.0 * x - 1.0 for x in roots]
-    slope = [_chebval(u, dh) for u in t]
-    t = np.array([u - _chebval(u, h) / d for u, d in zip(t, slope)])
+    t, slope = _newton_step(_extremum_series(c, m_a, m_b), roots)
     x = 1.0 / k + (1.0 / (k - 1) - 1.0 / k) * 0.5 * (1.0 + t)
     value = _fold_values(np.full(x.size, r), x[:, None])[:, 0]
     return tuple(

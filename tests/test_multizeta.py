@@ -28,6 +28,7 @@ from mzr import (
     truncated_euler_zagier,
 )
 from mzr import riemann_kernel
+from mzr.multizeta import _fold_table
 from mzr.riemann_kernel import _tail, _zeta_rows, bernoulli, default_config
 
 # Frozen values from a 40-digit independent evaluation: (r, s) -> value.
@@ -91,10 +92,8 @@ class TestRecursionValues:
         assert multizeta(4, 0.693658) == pytest.approx(-4.0699572, abs=1e-4)
 
     def test_decreasing_beyond_one(self):
-        # Right endpoints keep the true value, roughly (r!)^-s, well above
-        # the ~4e-16 absolute noise floor left by the cancellation of the
-        # O(1) recursion terms; past them the plateau jitter breaks strict
-        # ordering.
+        # Above s = 1 the grid takes the head/tail split, which cancels
+        # nothing, so the values, roughly (r!)^-s, fall strictly.
         for r, s_hi in ((2, 10.0), (5, 6.0), (8, 2.75)):
             values = multizeta_grid(r, np.linspace(1.01, s_hi, 200))
             assert np.all(np.diff(values) < 0.0)
@@ -254,7 +253,7 @@ class TestBitIdentity:
         x = np.random.default_rng(r).uniform(0.0, 4.0, 300)
         x = x[[nearest_pole(r, float(v)) is None for v in x]]
         want = _reference_newton(_zeta_rows(r, x), np.ones_like(x))[r]
-        assert np.array_equal(multizeta_grid(r, x), want)
+        assert np.array_equal(_fold_table(r, x)[r], want)
 
 
 class TestPoleGuard:
@@ -432,11 +431,14 @@ class TestNewtonIdentities:
 
 class TestGridEvaluation:
     def test_matches_scalar_path(self):
+        # Above s = 1 both take the head/tail split; at r = 32 the table's
+        # recursion still loses digits below 1 (2.6e-6 at 0.7).
         s = np.array([0.0, 0.41, 0.7, 1.2, 2.0, 3.5])
-        for r in (2, 4, 6):
-            grid = multizeta_grid(r, s)
-            for si, vi in zip(s, grid):
-                assert float(vi) == pytest.approx(multizeta(r, float(si)), rel=1e-11)
+        for r in (2, 4, 6, 16, 32):
+            points = s[s > 1.0] if r == 32 else s
+            grid = multizeta_grid(r, points)
+            for si, vi in zip(points, grid):
+                assert float(vi) == pytest.approx(multizeta(r, float(si)), rel=1e-11, abs=0)
 
     def test_empty_input(self):
         assert multizeta_grid(3, np.empty(0)).size == 0

@@ -153,23 +153,19 @@ def _inject_folds(monkeypatch, f):
 
 class TestRefineRoots:
     def test_batch_equals_single_brackets(self):
-        # Every bracket of `census --r-max 16` gives, field for field, the
-        # record it gives alone.
-        proxies = [
-            proxy
+        # Brackets of +-1e-8 around every zero of `census --r-max 16` give,
+        # field for field, the scan's own records, in one batch or alone.
+        records = [
+            zero
             for k in range(2, SCAN_R_MAX + 1)
-            for proxy in zero_finder._scan_grid(k, range(k, SCAN_R_MAX + 1))
+            for scan in scan_folds(k, range(k, SCAN_R_MAX + 1)).values()
+            for zero in scan.zeros
         ]
-        r = np.array([scan.r for scan, roots in proxies for _ in roots])
-        centre = np.array([x for _, roots in proxies for x in roots])
-        held, lo, hi, _, _ = zero_finder._rebracket(r, centre, zero_finder._ROOT_BRACKETS)
-        assert held.all()
-        brackets = list(zip(r.tolist(), lo.tolist(), hi.tolist()))
-        assert len(brackets) == 228
-        batch = refine_roots(brackets)
-        assert len(batch) == len(brackets)
-        for (r, a, b), record in zip(brackets, batch):
-            assert record == refine_root(r, a, b), (r, a, b)
+        assert len(records) == 228
+        brackets = [(z.r, z.abscissa - 1e-8, z.abscissa + 1e-8) for z in records]
+        assert refine_roots(brackets) == tuple(records)
+        for bracket, record in zip(brackets, records):
+            assert refine_root(*bracket) == record, bracket
 
     def test_empty_batch(self):
         assert refine_roots([]) == ()
@@ -182,86 +178,20 @@ class TestRefineRoots:
         with pytest.raises(ParameterRangeError):
             refine_roots([(2, 0.60, 0.65)], tol=1e-9)
 
-    # The fallback branches, each driven through an injected fold table:
-    # fold values of x - 0.4 below 1/2 and of g(x) above, so a second
-    # bracket (3, 0.35, 0.45) with an ordinary simple root rides along.
-    # Every branch acts on its own bracket only: the batch gives each
-    # bracket the record it gets alone.
-
-    @staticmethod
-    def _solve(monkeypatch, g, bracket, tol=BRACKET_WIDTH):
-        f = lambda x: np.where(x > 0.5, g(x), x - 0.4)
-        sizes = _inject_folds(monkeypatch, f)
-        alone = refine_roots([bracket], tol)[0]
-        calls = list(sizes)
-        pair = refine_roots([bracket, (3, 0.35, 0.45)], tol)
-        assert pair[0] == alone
-        assert pair[1] == refine_roots([(3, 0.35, 0.45)], tol)[0]
-        assert pair[1].abscissa == pytest.approx(0.4, abs=1e-15)
-        return alone, calls
-
-    def test_exact_zero_at_a_subdivision_point(self, monkeypatch):
-        lo, hi = 0.6, 0.7
-        root = lo + (hi - lo) * (5 / 32)  # the fifth point of the first step
-        record, calls = self._solve(monkeypatch, lambda x: x - root, (2, lo, hi))
-        # Endpoints, one subdivision landing on the zero, then the three
-        # widened brackets around it in one table; 0.4 tol already
-        # straddles, so no further subdivision.
-        assert calls[:3] == [2, 31, 6]
-        assert record.bracket_lo < root < record.bracket_hi
-        assert record.abscissa == pytest.approx(root, abs=1e-15)
-
-    def test_repeated_exact_zero_is_an_error(self, monkeypatch):
-        lo, hi = 0.6, 0.7
-        root = lo + (hi - lo) * (5 / 32)
-        # Flat zero of half-width 1e-12: the 0.4 tol bracket does not
-        # straddle, the 2 tol one does, and its subdivision lands on a
-        # zero again.
-        flat = lambda x: np.where(np.abs(x - root) <= 1e-12, 0.0, x - root)
-        _inject_folds(monkeypatch, lambda x: np.where(x > 0.5, flat(x), x - 0.4))
-        with pytest.raises(BracketError, match="keeps landing"):
-            refine_roots([(2, lo, hi)])
-        wide = lambda x: np.where(np.abs(x - root) <= 1e-10, 0.0, x - root)
-        _inject_folds(monkeypatch, lambda x: np.where(x > 0.5, wide(x), x - 0.4))
-        with pytest.raises(BracketError, match="no sign change survives"):
-            refine_roots([(2, lo, hi)])
-
-    def test_collapsed_bracket(self, monkeypatch):
-        # A 3e-13 bracket at tol = 1e-13 comes out of one step 9.4e-15
-        # wide and is re-bracketed at +-0.45 tol around its better end.
-        root = 0.6268
-        record, calls = self._solve(
-            monkeypatch, lambda x: x - root, (2, root - 1e-13, root + 2e-13), tol=1e-13
-        )
-        assert calls[:3] == [2, 31, 2]
-        assert record.bracket_lo < root < record.bracket_hi
-        assert record.bracket_hi - record.bracket_lo <= 1e-13
-
-    def test_rejected_polish(self, monkeypatch):
-        # Clipped at a third of the stencil step, the stencil slope is a
-        # third of the true one: the first Newton step triples the error
-        # and is rejected, so the secant point is reported.
-        root = 0.6268
-        clipped = lambda x: np.clip(x - root, -1e-8 / 3, 1e-8 / 3)
-        record, calls = self._solve(monkeypatch, clipped, (2, 0.6, 0.65))
-        # Secant point with its stencil, one rejected Newton point (with
-        # the stencil it would need next), then the re-centring pair.
-        assert calls[-3:] == [3, 3, 2]
-        assert record.abscissa == pytest.approx(root, abs=1e-15)
-        assert record.residual == abs(record.abscissa - root)
-
-    def test_shallow_crossing(self, monkeypatch):
-        # Two roots 2e-13 apart: the re-centred bracket of half-width
-        # 0.45e-12 spans both and sees no sign change, so the record keeps
-        # its last subdivision cell and re-evaluates its estimate.
-        centre, d = 0.6268, 1e-13
-        record, calls = self._solve(
-            monkeypatch, lambda x: np.abs(x - centre) - d, (2, centre, 0.65)
-        )
-        assert calls[-2:] == [2, 1]
-        assert record.bracket_lo < centre + d < record.bracket_hi
-        assert record.bracket_hi - record.bracket_lo <= BRACKET_WIDTH
-        assert record.residual == abs(abs(record.abscissa - centre) - d)
+    def test_flat_zero_fails_its_check(self, capsys, monkeypatch):
+        # F = 0 within 1e-12 of 0.65 on (1/2, 1): the proxy finds the root,
+        # but no sign change holds across +-0.45e-12 of it, so it gives no
+        # zero and the count is not trusted.
+        flat = lambda s: np.where(np.abs(s - 0.65) <= 1e-12, 0.0, s - 0.65)
+        _inject_folds(monkeypatch, flat)
+        scan = scan_interval(2, 2)
+        assert scan.grid_counts == (1, 1)
+        assert scan.zeros == ()
+        assert not scan.count_stable
+        assert main(["zeros", "--r", "2"]) == 5
+        assert json.loads(capsys.readouterr().out)["zeros"] == []
+        with pytest.raises(BracketError, match="keeps a sign change"):
+            refine_root(2, 0.6, 0.7)
 
 
 class TestScanInterval:
@@ -325,11 +255,11 @@ class TestScanFolds:
         assert main(["census", "--r-max", "8"]) == 0
         capsys.readouterr()
         # Intervals k = 2..8, one table of 3n points each (the nodes of
-        # the n- and 2n-node proxies); every root of the run is bracketed
-        # and refined together in a few more tables.
+        # the n- and 2n-node proxies); every root of the run is checked in
+        # one more table.
         scan = [n for n in sizes if n == 3 * zero_finder._PROXY_NODES]
         assert len(scan) == 7
-        assert len(sizes) - len(scan) <= 7
+        assert len(sizes) == 8
 
     def test_validation(self):
         with pytest.raises(ParameterRangeError):
@@ -396,24 +326,30 @@ class TestChebyshevProxy:
         assert not scan.count_stable
 
     def test_zeros_match_the_mpmath_oracle(self):
-        # Every zero the scan refines, for the fold counts the benchmark
-        # oracle holds, against its mpmath root (150 digits, tolerance 1e-60).
+        # Every zero the scan finds, for the fold counts the benchmark
+        # oracle holds, against its mpmath root (150 digits, tolerance
+        # 1e-60), at the default and the tightest bracket tolerance.
         roots = json.loads(ORACLE.read_text())["roots"]
         assert len(roots) == 81
         top = max(int(key.split(",")[0]) for key in roots)
         assert top == SCAN_R_MAX
-        seen = set()
-        for k in range(2, top + 1):
-            for r, scan in scan_folds(k, range(k, top + 1)).items():
-                expected = roots.get(f"{r},{k}")
-                if expected is None:
-                    continue
-                seen.add(f"{r},{k}")
-                found = [z.abscissa for z in scan.zeros]
-                assert len(found) == len(expected), (r, k)
-                for x, ref in zip(found, expected):
-                    assert abs(x - ref) <= 1e-12, (r, k, x, ref)
-        assert seen == set(roots)
+        for tol in (BRACKET_WIDTH, 1e-14):
+            seen = set()
+            for k in range(2, top + 1):
+                proxies = zero_finder._scan_grid(k, range(k, top + 1))
+                for scan in zero_finder._refine_scans(proxies, tol):
+                    assert scan.count_stable, (scan.r, k, tol)
+                    for z in scan.zeros:
+                        assert z.bracket_hi - z.bracket_lo <= tol, (z, tol)
+                    expected = roots.get(f"{scan.r},{k}")
+                    if expected is None:
+                        continue
+                    seen.add(f"{scan.r},{k}")
+                    found = [z.abscissa for z in scan.zeros]
+                    assert len(found) == len(expected), (scan.r, k)
+                    for x, ref in zip(found, expected):
+                        assert abs(x - ref) <= 1e-12, (scan.r, k, x, ref)
+            assert seen == set(roots)
 
 
 class TestFindExtrema:
