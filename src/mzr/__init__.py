@@ -3,7 +3,6 @@ line: evaluation, zero and extremum location, pole asymptotics, and the
 zero-census arithmetic, plus a deterministic CLI (`mzr`)."""
 
 from .errors import (
-    BracketError,
     DomainError,
     EmptySumError,
     IncompleteInputError,
@@ -14,7 +13,6 @@ from .errors import (
 from .riemann_kernel import (
     M_MAX,
     POLE_GUARD_RADIUS,
-    EulerMaclaurinConfig,
     bernoulli,
     riemann_zeta,
     riemann_zeta_alternating,
@@ -22,13 +20,10 @@ from .riemann_kernel import (
 )
 from .multizeta import (
     R_MAX,
-    SymmetricFunctionState,
     closed_form,
     multizeta,
     multizeta_grid,
     nearest_pole,
-    newton_identity_check,
-    symmetric_state,
     truncated_euler_zagier,
 )
 from .asymptotics import (
@@ -51,8 +46,6 @@ from .zero_finder import (
     ZeroRecord,
     delta_exclusion,
     find_extrema,
-    refine_root,
-    refine_roots,
     scan_folds,
     scan_interval,
     sign_profile,
@@ -76,7 +69,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # errors
-    "BracketError",
     "DomainError",
     "EmptySumError",
     "IncompleteInputError",
@@ -86,20 +78,16 @@ __all__ = [
     # riemann_kernel
     "M_MAX",
     "POLE_GUARD_RADIUS",
-    "EulerMaclaurinConfig",
     "bernoulli",
     "riemann_zeta",
     "riemann_zeta_alternating",
     "riemann_zeta_grid",
     # multizeta
     "R_MAX",
-    "SymmetricFunctionState",
     "closed_form",
     "multizeta",
     "multizeta_grid",
     "nearest_pole",
-    "newton_identity_check",
-    "symmetric_state",
     "truncated_euler_zagier",
     # asymptotics
     "NUMERIC_R_MAX",
@@ -120,8 +108,6 @@ __all__ = [
     "ZeroRecord",
     "delta_exclusion",
     "find_extrema",
-    "refine_root",
-    "refine_roots",
     "scan_folds",
     "scan_interval",
     "sign_profile",

@@ -25,7 +25,6 @@ from .asymptotics import coefficient_numeric, pole_spec
 from .census import census_report
 from .checks import SUITES
 from .errors import (
-    BracketError,
     DomainError,
     EmptySumError,
     IncompleteInputError,
@@ -51,7 +50,6 @@ _DOMAIN_ERRORS = (
     DomainError,
     ParameterRangeError,
     EmptySumError,
-    BracketError,
     IncompleteInputError,
 )
 

@@ -11,7 +11,6 @@ __all__ = [
     "ParameterRangeError",
     "PoleProximityError",
     "EmptySumError",
-    "BracketError",
     "IncompleteInputError",
     "NonConvergenceError",
 ]
@@ -38,10 +37,6 @@ class PoleProximityError(ValueError):
 
 class EmptySumError(ValueError):
     """A truncated sum was requested with fewer terms than summation indices."""
-
-
-class BracketError(ValueError):
-    """A root bracket does not actually straddle a sign change."""
 
 
 class IncompleteInputError(ValueError):

@@ -13,14 +13,12 @@ head's elementary symmetric functions of m^(-s), m < N, from the
 all-positive product expansion, and the tail's from the recursion on the
 small Euler-Maclaurin power sums sum_{m >= N} m^(-i s).  Closed forms for
 r = 2, 3, 4 and a truncated-sum oracle over the absolutely convergent
-region are kept as independent cross-checks.
+region, the same product expansion over m <= n, are kept as cross-checks.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +26,6 @@ from .errors import (
     DomainError,
     EmptySumError,
     NonConvergenceError,
-    ParameterRangeError,
     PoleProximityError,
     _check_int,
 )
@@ -36,13 +33,10 @@ from .riemann_kernel import POLE_GUARD_RADIUS, _tail, _zeta_rows, riemann_zeta
 
 __all__ = [
     "R_MAX",
-    "SymmetricFunctionState",
     "multizeta",
     "multizeta_grid",
     "closed_form",
     "truncated_euler_zagier",
-    "newton_identity_check",
-    "symmetric_state",
     "nearest_pole",
 ]
 
@@ -68,14 +62,6 @@ def _check_abscissa(r: int, s: float) -> None:
     hit = nearest_pole(r, s)
     if hit is not None:
         raise PoleProximityError(k=hit[0], order=hit[1], s=s)
-
-
-@dataclass(frozen=True)
-class SymmetricFunctionState:
-    """Elementary symmetric functions and power sums of one finite input."""
-
-    elementary: tuple[float, ...]
-    power_sums: tuple[float, ...]
 
 
 # The head of the split above s = 1 is m < r + _HEAD_EXTRA: it must hold
@@ -217,8 +203,10 @@ def closed_form(r: int, s: float) -> float:
 def truncated_euler_zagier(r: int, s: float, n: int) -> float:
     """Partial sum N_r(s) over tuples 1 <= m_1 < ... < m_r <= n.
 
-    Computed by the finite Newton identities over the first n power sums,
-    cost O(r*n); r-tuples are never enumerated.  Restricted to s > 1:
+    e_r of m^(-s), m = 1..n, by the all-positive product expansion that
+    the split above s = 1 uses for its head, cost O(r*n): r-tuples are
+    never enumerated, and unlike the Newton identities on the n-term power
+    sums nothing cancels.  Restricted to s > 1:
     outside absolute convergence the truncation does not approximate the
     continued function, so it refuses rather than misleads.
     """
@@ -233,21 +221,7 @@ def truncated_euler_zagier(r: int, s: float, n: int) -> float:
         raise DomainError(
             f"truncated sums are an oracle for the region s > 1 only (s = {s!r})"
         )
-    m = np.arange(1, n + 1, dtype=float)
-    return _newton([float(np.sum(m ** (-i * s))) for i in range(1, r + 1)])[r]
-
-
-def symmetric_state(x: Sequence[float], r: int) -> SymmetricFunctionState:
-    """Elementary symmetric functions e_0..e_r (by the product expansion,
-    not the identities) and power sums p_1..p_r of the input."""
-    _check_int(r, "order", 1)
-    vals = [float(v) for v in x]
-    if r > len(vals):
-        raise ParameterRangeError(
-            f"order {r} exceeds input length {len(vals)}"
-        )
-    power = [sum(v ** i for v in vals) for i in range(1, r + 1)]
-    return SymmetricFunctionState(tuple(_product_expansion(vals, r)), tuple(power))
+    return _product_expansion((np.arange(1, n + 1, dtype=float) ** -s).tolist(), r)[r]
 
 
 def _product_expansion(values: list[float], r: int) -> list[float]:
@@ -259,18 +233,3 @@ def _product_expansion(values: list[float], r: int) -> list[float]:
         for j in range(min(r, count), 0, -1):
             elem[j] += v * elem[j - 1]
     return elem
-
-
-def newton_identity_check(x: Sequence[float], r: int) -> float:
-    """Residual |r*e_r - sum_{j=1}^{r} (-1)^(j-1) e_{r-j} p_j| for the input.
-
-    The elementary side comes from the product expansion and the power-sum
-    side from direct summation, so a near-zero residual genuinely exercises
-    the identity rather than restating one computation.
-    """
-    state = symmetric_state(x, r)
-    e, p = state.elementary, state.power_sums
-    acc = 0.0
-    for j in range(1, r + 1):
-        acc += (-1) ** (j - 1) * e[r - j] * p[j - 1]
-    return abs(r * e[r] - acc)

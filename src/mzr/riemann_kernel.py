@@ -5,8 +5,8 @@ Two independent evaluators are provided on purpose:
 * `riemann_zeta` -- Euler-Maclaurin summation: a direct partial sum, the
   integral tail, the half-term, and Bernoulli-weighted corrections.  This
   is the production path.  On arrays, `_zeta_rows` evaluates zeta(i*s)
-  for i = 1..r at once, with the configuration `riemann_zeta` would pick
-  for each point; `riemann_zeta_grid` is its first row.  Its remainder
+  for i = 1..r at once, with the term counts `riemann_zeta` would take
+  at each point; `riemann_zeta_grid` is its first row.  Its remainder
   block, `_tail`, also gives `multizeta` its tail power sums above s = 1.
 * `riemann_zeta_alternating` -- the alternating (eta) series with an
   Euler-transform acceleration of its tail.  Slower, kept as a structurally
@@ -18,7 +18,6 @@ arithmetic and reduced to floats only at the use site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,15 +27,13 @@ from .errors import DomainError, PoleProximityError, _check_int
 __all__ = [
     "M_MAX",
     "POLE_GUARD_RADIUS",
-    "EulerMaclaurinConfig",
     "bernoulli",
-    "default_config",
     "riemann_zeta",
     "riemann_zeta_grid",
     "riemann_zeta_alternating",
 ]
 
-# Largest number of Bernoulli correction terms any configuration may use;
+# Largest number of Bernoulli correction terms the weight table covers;
 # the exact table holds B_0 .. B_{2*M_MAX}.
 M_MAX = 30
 
@@ -71,19 +68,7 @@ def bernoulli(n: int) -> Fraction:
     return _TABLE[n]
 
 
-@dataclass(frozen=True)
-class EulerMaclaurinConfig:
-    """Tuning knobs for the Euler-Maclaurin evaluator."""
-
-    direct_terms: int
-    correction_terms: int
-
-    def __post_init__(self):
-        _check_int(self.direct_terms, "direct_terms", 2)
-        _check_int(self.correction_terms, "correction_terms", 1, M_MAX)
-
-
-# Correction terms of the default configuration.
+# Bernoulli correction terms of every evaluation.
 _CORRECTION_TERMS = 12
 
 # Points per block of the grid kernel; bounds its (rows x block) work
@@ -91,18 +76,11 @@ _CORRECTION_TERMS = 12
 _BLOCK = 2048
 
 
-def default_config(s_max: float) -> EulerMaclaurinConfig:
-    """Adaptive configuration: direct terms grow with s, capped once the
-    direct sum alone is converged past machine precision."""
-    return EulerMaclaurinConfig(
-        direct_terms=_direct_terms(s_max), correction_terms=_CORRECTION_TERMS
-    )
-
-
 def _direct_terms(s, ceil=math.ceil, lower=max, upper=min):
-    """Direct-term count of the default configuration at s: ceil(s) + 10,
-    clamped to [20, 80].  An int for a float s; elementwise on an array
-    with ceil, lower, upper = np.ceil, np.maximum, np.minimum."""
+    """Direct-term count at s: ceil(s) + 10, clamped to [20, 80], so the
+    terms grow with s until the direct sum alone is converged past machine
+    precision.  An int for a float s; elementwise on an array with ceil,
+    lower, upper = np.ceil, np.maximum, np.minimum."""
     return lower(20, upper(ceil(s), 70) + 10)
 
 
@@ -115,41 +93,34 @@ def _check_domain(s: float) -> None:
         raise PoleProximityError(k=1, order=1, s=s)
 
 
-def riemann_zeta(s: float, config: EulerMaclaurinConfig | None = None) -> float:
+def riemann_zeta(s: float) -> float:
     """Evaluate zeta(s) for real s >= 0, s != 1, by Euler-Maclaurin summation.
 
-    Relative error is at or below 1e-13 on [0, 60] with the default
-    configuration, degrading gracefully for larger s where the direct sum
-    dominates anyway.  Without `config`, the terms of `default_config(s)`
-    are used without building that object, which would be a large share
-    of the call's cost; an explicit configuration runs the same lines.
+    Relative error is at or below 1e-13 on [0, 60] with `_direct_terms(s)`
+    direct terms and _CORRECTION_TERMS corrections, degrading gracefully
+    for larger s where the direct sum dominates anyway.
     """
     s = float(s)
     _check_domain(s)
-    if config is None:
-        n, m = _direct_terms(s), _CORRECTION_TERMS
-    else:
-        n, m = config.direct_terms, config.correction_terms
+    n = _direct_terms(s)
     total = float((np.arange(1, n, dtype=float) ** (-s)).sum())
     total += n ** (1.0 - s) / (s - 1.0)
     total += 0.5 * n ** (-s)
     rising = 1.0
-    for j in range(1, m + 1):
+    for j in range(1, _CORRECTION_TERMS + 1):
         # rising = s (s+1) ... (s + 2j - 2), built incrementally
         rising = s if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
         total += _CORRECTION_WEIGHT[j] * rising * n ** (-s - 2 * j + 1)
     return total
 
 
-def riemann_zeta_grid(
-    s: np.ndarray, config: EulerMaclaurinConfig | None = None
-) -> np.ndarray:
+def riemann_zeta_grid(s: np.ndarray) -> np.ndarray:
     """Vectorised `riemann_zeta` over a 1-d array of abscissas.
 
-    Without `config`, every point gets the configuration `riemann_zeta`
-    would pick for it, so a value never depends on the other points of
-    the array; values can still differ from the scalar path by a few ulp,
-    since the sums are taken in another order.  Row 1 of `_zeta_rows`.
+    Every point gets the term counts `riemann_zeta` would take for it, so
+    a value never depends on the other points of the array; values can
+    still differ from the scalar path by a few ulp, since the sums are
+    taken in another order.  Row 1 of `_zeta_rows`.
     """
     s = np.asarray(s, dtype=float)
     if s.size == 0:
@@ -161,38 +132,29 @@ def riemann_zeta_grid(
     near = np.abs(s - 1.0) < POLE_GUARD_RADIUS
     if near.any():
         raise PoleProximityError(k=1, order=1, s=float(s[near][0]))
-    return _zeta_rows(1, s, config)[0]
+    return _zeta_rows(1, s)[0]
 
 
-def _zeta_rows(
-    r: int, s: np.ndarray, config: EulerMaclaurinConfig | None = None
-) -> np.ndarray:
+def _zeta_rows(r: int, s: np.ndarray) -> np.ndarray:
     """zeta(i*s) for i = 1..r over a 1-d array of abscissas, as an
     (r, len(s)) array.
 
     The caller has checked every i*s against the domain and the pole.
     Each term m takes one power m^(-s) per point and forms m^(-i*s) by
-    repeated multiplication.  Without `config`, every point i*s gets the
-    configuration `riemann_zeta` would pick for it, so a value depends
-    only on its own abscissa and row, never on the other points.
+    repeated multiplication.  Every point i*s gets the term counts
+    `riemann_zeta` would take for it, so a value depends only on its own
+    abscissa and row, never on the other points.
     """
     out = np.empty((r, s.size))
     for lo in range(0, s.size, _BLOCK):
-        out[:, lo:lo + _BLOCK] = _zeta_block(r, s[lo:lo + _BLOCK], config)
+        out[:, lo:lo + _BLOCK] = _zeta_block(r, s[lo:lo + _BLOCK])
     return out
 
 
-def _zeta_block(
-    r: int, s: np.ndarray, config: EulerMaclaurinConfig | None
-) -> np.ndarray:
+def _zeta_block(r: int, s: np.ndarray) -> np.ndarray:
     """`_zeta_rows` on one block of at most _BLOCK points."""
     sigma = np.arange(1, r + 1, dtype=float)[:, None] * s
-    if config is None:
-        n = _direct_terms(sigma, np.ceil, np.maximum, np.minimum)
-        corrections = _CORRECTION_TERMS
-    else:
-        n = np.full_like(sigma, config.direct_terms)
-        corrections = config.correction_terms
+    n = _direct_terms(sigma, np.ceil, np.maximum, np.minimum)
     total = np.ones_like(sigma)  # the term m = 1
     tail = np.empty_like(sigma)  # n^(-sigma), read off the chain at m = n
     power = np.empty_like(sigma)
@@ -206,13 +168,14 @@ def _zeta_block(
         else:
             np.add(total, power, out=total, where=m < n)
             np.copyto(tail, power, where=m == n)
-    return _tail(total, sigma, n, tail, corrections)
+    return _tail(total, sigma, n, tail)
 
 
-def _tail(total, sigma, n, tail, corrections=_CORRECTION_TERMS):
+def _tail(total, sigma, n, tail):
     """total plus the Euler-Maclaurin remainder sum_{m >= n} m^(-sigma),
     given tail = n^(-sigma): the integral term, the half term and the
-    Bernoulli corrections, added to total one by one in that order.
+    _CORRECTION_TERMS Bernoulli corrections, added to total one by one in
+    that order.
 
     Only plain operators, and in-place ones only on a result made here,
     so floats and arrays take the same IEEE steps and the caller's total
@@ -227,8 +190,8 @@ def _tail(total, sigma, n, tail, corrections=_CORRECTION_TERMS):
     # in j, with rising_1 = sigma and rising_j / rising_(j-1) =
     # (sigma + 2j - 3)(sigma + 2j - 2).
     inv_n2 = 1.0 / (n * n)
-    acc = _CORRECTION_WEIGHT[corrections]
-    for j in range(corrections - 1, 0, -1):
+    acc = _CORRECTION_WEIGHT[_CORRECTION_TERMS]
+    for j in range(_CORRECTION_TERMS - 1, 0, -1):
         acc = acc * (sigma + (2 * j - 1))
         acc *= sigma + 2 * j
         acc *= inv_n2

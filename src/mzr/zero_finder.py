@@ -22,13 +22,12 @@ NonConvergenceError.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
 
-from .errors import BracketError, NonConvergenceError, ParameterRangeError, _check_int
+from .errors import NonConvergenceError, ParameterRangeError, _check_int
 from .multizeta import _fold_table, multizeta_grid
 
 __all__ = [
@@ -39,8 +38,6 @@ __all__ = [
     "IntervalScan",
     "SignProfile",
     "delta_exclusion",
-    "refine_root",
-    "refine_roots",
     "scan_interval",
     "scan_folds",
     "find_extrema",
@@ -191,70 +188,6 @@ def _fold_values(r: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _straddles(f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
     return (f_lo != 0.0) & (f_hi != 0.0) & ((f_lo > 0.0) != (f_hi > 0.0))
-
-
-def refine_roots(brackets, tol: float = BRACKET_WIDTH) -> tuple[ZeroRecord, ...]:
-    """Refine sign-change brackets (r, lo, hi) of the r-fold functions to
-    ZeroRecords, all brackets together.
-
-    Each bracket is checked as `refine_root` checks one.  Each interval
-    that holds a bracket is scanned once, for the fold counts of its
-    brackets, as `scan_folds` scans it but with its roots checked at
-    +-0.45 tol (tol in [1e-14, 1e-12]); a bracket gets the first checked
-    root of its fold count inside it, and BracketError if there is none.
-    Scans and values are pointwise, so a record never depends on the other
-    brackets of the batch.
-    """
-    rs, ks, los, his = [], [], [], []
-    for r, bracket_lo, bracket_hi in brackets:
-        _check_int(r, "fold count", 2, SCAN_R_MAX)
-        lo, hi = float(bracket_lo), float(bracket_hi)
-        if not lo < hi:
-            raise BracketError(f"bracket [{lo!r}, {hi!r}] is not increasing")
-        k = math.ceil(1.0 / (0.5 * (lo + hi)))
-        if not (2 <= k <= r and 1.0 / k < lo and hi < 1.0 / (k - 1)):
-            raise BracketError(
-                f"bracket [{lo!r}, {hi!r}] does not sit inside one "
-                f"inter-asymptotic interval of the {r}-fold function"
-            )
-        rs.append(r)
-        ks.append(k)
-        los.append(lo)
-        his.append(hi)
-    ends = _fold_values(np.array(rs, dtype=int), np.column_stack([los, his]))
-    bad = np.nonzero(~_straddles(ends[:, 0], ends[:, 1]))[0]
-    if bad.size:
-        i = bad[0]
-        raise BracketError(
-            f"endpoints do not straddle a sign change: f({los[i]!r}) = "
-            f"{float(ends[i, 0])!r}, f({his[i]!r}) = {float(ends[i, 1])!r}"
-        )
-    folds: dict[int, set[int]] = {}
-    for r, k in zip(rs, ks):
-        folds.setdefault(k, set()).add(r)
-    proxies = [g for k, r_values in folds.items() for g in _scan_grid(k, r_values)]
-    zeros = {(scan.r, scan.k): scan.zeros for scan in _refine_scans(proxies, tol)}
-    records = []
-    for r, k, lo, hi in zip(rs, ks, los, his):
-        inside = [z for z in zeros[(r, k)] if lo < z.abscissa < hi]
-        if not inside:
-            raise BracketError(
-                f"no root of the {r}-fold function in [{lo!r}, {hi!r}] "
-                "keeps a sign change across +-0.45 tol"
-            )
-        records.append(inside[0])
-    return tuple(records)
-
-
-def refine_root(
-    r: int, bracket_lo: float, bracket_hi: float, tol: float = BRACKET_WIDTH
-) -> ZeroRecord:
-    """Refine a sign-change bracket of the r-fold function to a ZeroRecord.
-
-    The endpoints must evaluate to opposite signs and lie inside one
-    inter-asymptotic interval.  The single-bracket case of `refine_roots`.
-    """
-    return refine_roots([(r, bracket_lo, bracket_hi)], tol)[0]
 
 
 def _proxy_nodes(k: int, n: int) -> np.ndarray:

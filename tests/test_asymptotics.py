@@ -58,46 +58,46 @@ class TestClosedFormConstants:
         assert coefficient_closed_form(2, 2) == -0.5
         assert coefficient_closed_form(4, 2) == 0.125
         assert coefficient_closed_form(8, 4) == 0.03125
-        assert coefficient_closed_form(4, 1) == pytest.approx(1.0 / 24.0, rel=1e-15)
+        assert coefficient_closed_form(4, 1) == pytest.approx(1.0 / 24.0, rel=1e-15, abs=0)
         assert coefficient_closed_form(11, 1) == pytest.approx(
-            1.0 / math.factorial(11), rel=1e-15
+            1.0 / math.factorial(11), rel=1e-15, abs=0
         )
-        assert coefficient_closed_form(6, 3) == pytest.approx(1.0 / 18.0, rel=1e-15)
+        assert coefficient_closed_form(6, 3) == pytest.approx(1.0 / 18.0, rel=1e-15, abs=0)
         assert coefficient_closed_form(10, 2) == pytest.approx(
-            -1.0 / 3840.0, rel=1e-15
+            -1.0 / 3840.0, rel=1e-15, abs=0
         )
 
     def test_rightmost_constant_alternates(self):
         for r in range(2, 13):
             assert coefficient_closed_form(r, r) == pytest.approx(
-                (-1.0) ** (r - 1) / r, rel=1e-15
+                (-1.0) ** (r - 1) / r, rel=1e-15, abs=0
             )
 
     def test_single_lower_fold_factor(self):
         # For r/2 < k < r the constant is ((-1)^(k-1)/k) times the
         # (r-k)-fold value at 1/k.
         assert coefficient_closed_form(3, 2) == pytest.approx(
-            -riemann_zeta(0.5) / 2.0, rel=1e-14
+            -riemann_zeta(0.5) / 2.0, rel=1e-14, abs=0
         )
         assert coefficient_closed_form(7, 4) == pytest.approx(
-            -multizeta(3, 0.25) / 4.0, rel=1e-14
+            -multizeta(3, 0.25) / 4.0, rel=1e-14, abs=0
         )
 
     @pytest.mark.parametrize("rk,expected", sorted(CONSTANT_SPOTS.items()))
     def test_frozen_spot_values(self, rk, expected):
-        assert coefficient_closed_form(*rk) == pytest.approx(expected, rel=1e-12)
+        assert coefficient_closed_form(*rk) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 class TestRecursiveRoute:
     def test_rightmost_case_collapses(self):
         for r in (2, 5, 9):
             assert coefficient_recursive(r, r) == pytest.approx(
-                (-1.0) ** (r - 1) / r, rel=1e-13
+                (-1.0) ** (r - 1) / r, rel=1e-13, abs=0
             )
 
     def test_spot_value(self):
         assert coefficient_recursive(5, 2) == pytest.approx(
-            riemann_zeta(0.5) / 8.0, rel=1e-13
+            riemann_zeta(0.5) / 8.0, rel=1e-13, abs=0
         )
 
     def test_full_agreement_with_closed_forms(self):
@@ -106,17 +106,17 @@ class TestRecursiveRoute:
 
 class TestNumericRoute:
     def test_double_fold(self):
-        assert coefficient_numeric(2, 2) == pytest.approx(-0.5, rel=1e-3)
+        assert coefficient_numeric(2, 2) == pytest.approx(-0.5, rel=1e-3, abs=0)
 
     def test_against_closed_form(self):
         assert coefficient_numeric(6, 2) == pytest.approx(
-            coefficient_closed_form(6, 2), rel=1e-2
+            coefficient_closed_form(6, 2), rel=1e-2, abs=0
         )
 
     def test_rightmost_poles(self):
         for r in range(2, 9):
             assert coefficient_numeric(r, r) == pytest.approx(
-                (-1.0) ** (r - 1) / r, rel=1e-3
+                (-1.0) ** (r - 1) / r, rel=1e-3, abs=0
             )
 
     def test_fold_cap(self):

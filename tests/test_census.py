@@ -94,9 +94,9 @@ class TestDivisorIdentity:
 class TestAsymptoticEstimate:
     def test_formula_values(self):
         expected = 10.0 * math.log(10.0) - 2.0 * (1.0 - EULER_GAMMA) * 10.0
-        assert iaz_asymptotic(10) == pytest.approx(expected, rel=1e-15)
-        assert iaz_asymptotic(10) == pytest.approx(14.570164227971114, rel=1e-14)
-        assert iaz_asymptotic(2) == pytest.approx(-0.3048429792739779, rel=1e-14)
+        assert iaz_asymptotic(10) == pytest.approx(expected, rel=1e-15, abs=0)
+        assert iaz_asymptotic(10) == pytest.approx(14.570164227971114, rel=1e-14, abs=0)
+        assert iaz_asymptotic(2) == pytest.approx(-0.3048429792739779, rel=1e-14, abs=0)
 
     def test_residual_band_spot(self):
         assert abs(iaz_predicted(2) - iaz_asymptotic(2)) <= 3.0 * math.sqrt(2.0)

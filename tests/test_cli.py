@@ -56,7 +56,7 @@ class TestEval:
         # Canonical %.17g: the printed digits round-trip to the same string.
         assert "%.17g" % float(text) == text
         # pi^4/120 as a correctly rounded double.
-        assert float(text) == pytest.approx(0.81174242528335361, rel=1e-13)
+        assert float(text) == pytest.approx(0.81174242528335361, rel=1e-13, abs=0)
 
     def test_near_the_four_fold_minimum(self, capsys):
         code, out, _ = run(capsys, "eval", "--r", "4", "--s", "0.693658")
@@ -140,7 +140,7 @@ class TestPlot:
         assert len(rows) == 16
         for row in rows:
             s, v = (float(part) for part in row.split(","))
-            assert v == pytest.approx(riemann_zeta(s), rel=1e-12)
+            assert v == pytest.approx(riemann_zeta(s), rel=1e-12, abs=0)
 
     def test_unwritable_path(self, tmp_path, capsys):
         code, _, err = run(
@@ -243,7 +243,7 @@ class TestExtrema:
         assert record["kind"] == "minimum"
         assert record["k"] == 2
         assert record["abscissa"] == pytest.approx(0.69370259761572962, abs=1e-6)
-        assert record["value"] == pytest.approx(-4.0699729458290413, rel=1e-8)
+        assert record["value"] == pytest.approx(-4.0699729458290413, rel=1e-8, abs=0)
 
 
 class TestPoles:

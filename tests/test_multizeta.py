@@ -1,6 +1,7 @@
 """Multiple zeta values with identical arguments: the power-sum recursion,
 the r = 2..4 closed forms, the truncated-sum oracle on the absolutely
-convergent region, and the finite Newton-identity machinery."""
+convergent region, and the finite Newton identities and product
+expansion."""
 import itertools
 import math
 import random
@@ -22,14 +23,12 @@ from mzr import (
     multizeta,
     multizeta_grid,
     nearest_pole,
-    newton_identity_check,
     riemann_zeta,
-    symmetric_state,
     truncated_euler_zagier,
 )
 from mzr import riemann_kernel
-from mzr.multizeta import _fold_table
-from mzr.riemann_kernel import _tail, _zeta_rows, bernoulli, default_config
+from mzr.multizeta import _fold_table, _newton, _product_expansion
+from mzr.riemann_kernel import _direct_terms, _tail, _zeta_rows, bernoulli
 
 # Frozen values from a 40-digit independent evaluation: (r, s) -> value.
 MULTIZETA_SPOTS = {
@@ -79,10 +78,10 @@ class TestRecursionValues:
         # zeta_r(0) = (-1)^r C(2r, r) / 4^r, exactly.
         for r in range(1, 15):
             expected = (-1.0) ** r * math.comb(2 * r, r) / 4.0**r
-            assert multizeta(r, 0.0) == pytest.approx(expected, rel=1e-13)
+            assert multizeta(r, 0.0) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_triple_fold_near_origin(self):
-        assert multizeta(3, 0.0) == pytest.approx(-5.0 / 16.0, rel=1e-14)
+        assert multizeta(3, 0.0) == pytest.approx(-5.0 / 16.0, rel=1e-14, abs=0)
         assert multizeta(3, 1e-7) == pytest.approx(-5.0 / 16.0, abs=1e-5)
 
     def test_vanishes_at_double_fold_zero(self):
@@ -169,10 +168,9 @@ def _mp_fold(mpmath, r, s, keep=30):
 
 
 def _reference_zeta(s):
-    """The scalar Euler-Maclaurin path in its plainest form: a fresh
-    configuration, np.sum over np.arange, the rising-factorial loop."""
-    cfg = default_config(s)
-    n, m = cfg.direct_terms, cfg.correction_terms
+    """The scalar Euler-Maclaurin path in its plainest form: 12
+    corrections, np.sum over np.arange, the rising-factorial loop."""
+    n, m = _direct_terms(s), 12
     total = float(np.sum(np.arange(1, n, dtype=float) ** (-s)))
     total += n ** (1.0 - s) / (s - 1.0)
     total += 0.5 * n ** (-s)
@@ -195,16 +193,17 @@ def _reference_newton(p, one=1.0):
     return e
 
 
-def _reference_tail(total, sigma, n, tail, corrections=12):
-    """The grid kernel's remainder in its in-place array form."""
+def _reference_tail(total, sigma, n, tail):
+    """The grid kernel's remainder in its in-place array form, with 12
+    corrections."""
     total = total.copy()
     tail_n = n * tail
     total += tail_n / (sigma - 1.0)
     total += 0.5 * tail
-    weight = [float(bernoulli(2 * j)) / math.factorial(2 * j) for j in range(corrections + 1)]
+    weight = [float(bernoulli(2 * j)) / math.factorial(2 * j) for j in range(13)]
     inv_n2 = 1.0 / (n * n)
-    acc = np.full_like(sigma, weight[corrections])
-    for j in range(corrections - 1, 0, -1):
+    acc = np.full_like(sigma, weight[12])
+    for j in range(11, 0, -1):
         acc *= sigma + (2 * j - 1)
         acc *= sigma + 2 * j
         acc *= inv_n2
@@ -287,14 +286,14 @@ class TestPoleGuard:
 class TestClosedForms:
     def test_double_fold_at_three(self):
         expected = (riemann_zeta(3.0) ** 2 - riemann_zeta(6.0)) / 2.0
-        assert closed_form(2, 3.0) == pytest.approx(expected, rel=1e-14)
-        assert closed_form(2, 3.0) == pytest.approx(0.2137988682245925, rel=1e-13)
+        assert closed_form(2, 3.0) == pytest.approx(expected, rel=1e-14, abs=0)
+        assert closed_form(2, 3.0) == pytest.approx(0.2137988682245925, rel=1e-13, abs=0)
 
     def test_triple_fold_vanishes_at_its_zero(self):
         assert abs(closed_form(3, 0.385782)) < 1e-4
 
     def test_agreement_with_recursion(self):
-        assert closed_form(4, 2.0) == pytest.approx(multizeta(4, 2.0), rel=1e-13)
+        assert closed_form(4, 2.0) == pytest.approx(multizeta(4, 2.0), rel=1e-13, abs=0)
 
     def test_seeded_sweep_against_recursion(self):
         rng = np.random.default_rng(7)
@@ -326,13 +325,13 @@ class TestTruncatedSums:
     def test_minimal_tuple_is_factorial_power(self):
         # n = r leaves the single tuple (1, 2, ..., r).
         assert truncated_euler_zagier(3, 2.0, 3) == pytest.approx(
-            1.0 / 36.0, rel=1e-14
+            1.0 / 36.0, rel=1e-14, abs=0
         )
 
     @pytest.mark.parametrize("rsn,expected", sorted(TRUNCATED_SPOTS.items()))
     def test_frozen_partial_sums(self, rsn, expected):
         r, s, n = rsn
-        assert truncated_euler_zagier(r, s, n) == pytest.approx(expected, rel=1e-13)
+        assert truncated_euler_zagier(r, s, n) == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_converges_to_continued_value(self):
         target = math.pi**4 / 120.0
@@ -378,33 +377,35 @@ def _brute_elementary(values, j):
     return math.fsum(math.prod(c) for c in itertools.combinations(values, j))
 
 
+def _power_sums(values, r):
+    return [math.fsum(v**i for v in values) for i in range(1, r + 1)]
+
+
 class TestNewtonIdentities:
+    """The product expansion that the split above s = 1 and the truncated
+    sums use, against subset enumeration, and the Newton identities on the
+    power sums against both."""
+
     def test_hand_example(self):
         # e_2 = 3, p_1 = p_2 = 3: the identity closes exactly in floats.
-        assert newton_identity_check((1.0, 1.0, 1.0), 2) == 0.0
+        assert _product_expansion([1.0, 1.0, 1.0], 2) == [1.0, 3.0, 3.0]
+        assert _newton([3.0, 3.0]) == [1.0, 3.0, 3.0]
 
     def test_power_sum_input(self):
         x = [1.0 / m**2 for m in range(1, 13)]
-        assert newton_identity_check(x, 3) < 1e-12
+        e = _product_expansion(x, 3)
+        for got, want in zip(_newton(_power_sums(x, 3)), e):
+            assert abs(got - want) < 1e-12
 
     def test_state_against_subset_enumeration(self):
         x = [0.5, -1.25, 2.0, 0.125, -0.75]
-        state = symmetric_state(x, 4)
-        assert state.elementary[0] == 1.0
+        e = _product_expansion(x, 4)
+        assert e[0] == 1.0
         for j in range(5):
-            assert state.elementary[j] == pytest.approx(
+            assert e[j] == pytest.approx(_brute_elementary(x, j), rel=1e-12, abs=1e-13)
+            assert _newton(_power_sums(x, 4))[j] == pytest.approx(
                 _brute_elementary(x, j), rel=1e-12, abs=1e-13
             )
-        for i in range(1, 5):
-            assert state.power_sums[i - 1] == pytest.approx(
-                sum(v**i for v in x), rel=1e-13
-            )
-
-    def test_order_exceeding_length_rejected(self):
-        with pytest.raises(ParameterRangeError):
-            newton_identity_check((1.0, 2.0), 3)
-        with pytest.raises(ParameterRangeError):
-            symmetric_state((1.0, 2.0), 0)
 
     @given(
         x=st.lists(
@@ -416,17 +417,16 @@ class TestNewtonIdentities:
     )
     def test_identity_on_random_vectors(self, x, data):
         r = data.draw(st.integers(min_value=1, max_value=len(x)))
-        state = symmetric_state(x, r)
+        e = _product_expansion(x, r)
         # Independent oracle: elementary functions by subset enumeration.
         for j in range(r + 1):
             scale = 1.0 + math.fsum(
                 abs(math.prod(c)) for c in itertools.combinations(x, j)
             )
-            assert abs(state.elementary[j] - _brute_elementary(x, j)) <= 1e-12 * scale
-        scale = 1.0 + r * max(abs(e) for e in state.elementary) * max(
-            abs(p) for p in state.power_sums
-        )
-        assert newton_identity_check(x, r) <= 1e-10 * scale
+            assert abs(e[j] - _brute_elementary(x, j)) <= 1e-12 * scale
+        p = _power_sums(x, r)
+        scale = 1.0 + r * max(abs(v) for v in e) * max(abs(v) for v in p)
+        assert abs(_newton(p)[r] - e[r]) <= 1e-10 * scale
 
 
 class TestGridEvaluation:

@@ -1,6 +1,9 @@
-"""The README's library example runs as printed."""
+"""The README's library example runs as printed, and its list of the
+public surface names only what the package exports."""
 import re
 from pathlib import Path
+
+import mzr
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,3 +17,11 @@ def test_library_example_runs():
             assert eval(code, namespace) is True, code
         else:
             exec(line, namespace)
+
+
+def test_library_surface_names_are_exported():
+    section = README.read_text().split("## Library surface", 1)[1].split("\n## ", 1)[0]
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    names = re.findall(r"`([A-Za-z_]\w*)`", prose)
+    assert len(names) > 30
+    assert [name for name in names if name not in mzr.__all__] == []

@@ -1,6 +1,6 @@
-"""Zero and extremum location between consecutive asymptotes: bracket
-refinement contracts, the Chebyshev proxy scan, and the constant-sign
-check on the leftmost segment."""
+"""Zero and extremum location between consecutive asymptotes: the
+refinement of each proxy root and its record contract, the Chebyshev
+proxy scan, and the constant-sign check on the leftmost segment."""
 import importlib
 import json
 import math
@@ -8,12 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mzr import (
     BRACKET_WIDTH,
-    BracketError,
     ExtremumRecord,
     NonConvergenceError,
     POLE_GUARD_RADIUS,
@@ -23,8 +20,6 @@ from mzr import (
     delta_exclusion,
     find_extrema,
     multizeta,
-    refine_root,
-    refine_roots,
     scan_folds,
     scan_interval,
     sign_profile,
@@ -69,27 +64,30 @@ class TestDeltaExclusion:
 
 
 class TestRefineRoot:
+    """Each root of an interval's proxy after its Newton step and sign
+    check (`_refine_scans`), and the ZeroRecord that carries its bracket."""
+
     def test_triple_fold_zero(self):
-        record = refine_root(3, 0.38, 0.39)
+        (record,) = scan_interval(3, 3).zeros
         assert record.abscissa == pytest.approx(0.3857825732458655, abs=1e-11)
         assert record.k == 3
 
     def test_double_fold_zero_vanishes(self):
-        record = refine_root(2, 0.60, 0.65)
+        (record,) = scan_interval(2, 2).zeros
         assert record.abscissa == pytest.approx(0.6268175537730932, abs=1e-11)
         assert abs(multizeta(2, record.abscissa)) < 1e-12
 
     def test_five_fold_zero_in_corrected_window(self):
-        record = refine_root(5, 0.82, 0.83)
+        record = scan_interval(5, 2).zeros[-1]
         assert record.abscissa == pytest.approx(0.821698848360263, abs=1e-11)
 
     def test_no_sign_change_above_the_corrected_window(self):
         # The 5-fold function is strictly negative on [0.87, 0.89].
-        with pytest.raises(BracketError):
-            refine_root(5, 0.87, 0.89)
+        assert multizeta(5, 0.87) < 0.0 and multizeta(5, 0.89) < 0.0
+        assert all(z.abscissa < 0.83 for z in scan_interval(5, 2))
 
     def test_record_contract(self):
-        record = refine_root(3, 0.70, 0.74)
+        (record,) = scan_interval(3, 2).zeros
         assert 0.5 < record.bracket_lo < record.abscissa < record.bracket_hi < 1.0
         assert record.bracket_hi - record.bracket_lo <= BRACKET_WIDTH
         lo_val = multizeta(3, record.bracket_lo)
@@ -98,44 +96,42 @@ class TestRefineRoot:
         assert 0.0 <= record.residual < 1e-11
 
     def test_tighter_tolerance(self):
-        record = refine_root(2, 0.60, 0.65, tol=1e-13)
+        ((record,),) = zero_finder._refine_scans(zero_finder._scan_grid(2, [2]), tol=1e-13)
         assert record.bracket_hi - record.bracket_lo <= 1e-13
+        assert record.abscissa == scan_interval(2, 2).zeros[0].abscissa
 
     def test_tolerance_validation(self):
+        proxies = zero_finder._scan_grid(2, [2])
         with pytest.raises(ParameterRangeError):
-            refine_root(2, 0.60, 0.65, tol=1e-15)
+            zero_finder._refine_scans(proxies, tol=1e-15)
         with pytest.raises(ParameterRangeError):
-            refine_root(2, 0.60, 0.65, tol=1e-9)
+            zero_finder._refine_scans(proxies, tol=1e-9)
 
     def test_rejects_inverted_or_degenerate_bracket(self):
-        with pytest.raises(BracketError):
-            refine_root(2, 0.65, 0.60)
-        with pytest.raises(BracketError):
-            refine_root(2, 0.63, 0.63)
+        # The record is where every bracket is checked.
+        with pytest.raises(ParameterRangeError):
+            ZeroRecord(2, 2, 0.6268 + 1e-13, 0.6268, 0.6268 + 5e-14, 0.0)
+        with pytest.raises(ParameterRangeError):
+            ZeroRecord(2, 2, 0.6268, 0.6268, 0.6268, 0.0)
 
     def test_rejects_bracket_spanning_a_pole(self):
-        with pytest.raises(BracketError):
-            refine_root(3, 0.49, 0.52)
+        with pytest.raises(ParameterRangeError):
+            ZeroRecord(3, 2, 0.5 - 1e-13, 0.5 + 1e-13, 0.5, 0.0)
 
     def test_rejects_same_sign_endpoints(self):
-        with pytest.raises(BracketError):
-            refine_root(2, 0.70, 0.75)
+        # The 2-fold function keeps one sign on [0.70, 0.75]: a root put
+        # there fails its sign check, gives no zero and unsettles the count.
+        ((scan, _),) = zero_finder._scan_grid(2, [2])
+        assert scan.count_stable
+        (refined,) = zero_finder._refine_scans([(scan, (0.72,))])
+        assert refined.zeros == ()
+        assert not refined.count_stable
 
     def test_fold_count_range(self):
         with pytest.raises(ParameterRangeError):
-            refine_root(1, 0.6, 0.7)
+            scan_interval(1, 2)
         with pytest.raises(ParameterRangeError):
-            refine_root(SCAN_R_MAX + 1, 0.6, 0.7)
-
-    @settings(max_examples=20)
-    @given(
-        left=st.floats(min_value=1e-4, max_value=0.025),
-        right=st.floats(min_value=1e-4, max_value=0.025),
-    )
-    def test_bracket_placement_does_not_move_the_root(self, left, right):
-        target = 0.3857825732458655
-        record = refine_root(3, target - left, target + right)
-        assert record.abscissa == pytest.approx(target, abs=5e-11)
+            scan_interval(SCAN_R_MAX + 1, 2)
 
 
 def _inject_folds(monkeypatch, f):
@@ -152,31 +148,25 @@ def _inject_folds(monkeypatch, f):
 
 
 class TestRefineRoots:
+    """Every root of a run refined in one batch, as the CLI refines them."""
+
     def test_batch_equals_single_brackets(self):
-        # Brackets of +-1e-8 around every zero of `census --r-max 16` give,
-        # field for field, the scan's own records, in one batch or alone.
-        records = [
-            zero
-            for k in range(2, SCAN_R_MAX + 1)
-            for scan in scan_folds(k, range(k, SCAN_R_MAX + 1)).values()
-            for zero in scan.zeros
-        ]
+        # The 228 zeros of `census --r-max 16`, refined together, are field
+        # for field those of each interval refined alone, and each bracket
+        # sits inside its interval and straddles a sign change.
+        tasks = [(k, range(k, SCAN_R_MAX + 1)) for k in range(2, SCAN_R_MAX + 1)]
+        proxies = [g for k, r_values in tasks for g in zero_finder._scan_grid(k, r_values)]
+        batch = zero_finder._refine_scans(proxies)
+        single = [scan for k, r_values in tasks for scan in scan_folds(k, r_values).values()]
+        assert batch == single
+        records = [zero for scan in batch for zero in scan.zeros]
         assert len(records) == 228
-        brackets = [(z.r, z.abscissa - 1e-8, z.abscissa + 1e-8) for z in records]
-        assert refine_roots(brackets) == tuple(records)
-        for bracket, record in zip(brackets, records):
-            assert refine_root(*bracket) == record, bracket
+        for z in records:
+            assert 1.0 / z.k < z.bracket_lo < z.abscissa < z.bracket_hi < 1.0 / (z.k - 1)
+            assert multizeta(z.r, z.bracket_lo) * multizeta(z.r, z.bracket_hi) < 0.0, z
 
     def test_empty_batch(self):
-        assert refine_roots([]) == ()
-
-    def test_one_bad_bracket_fails_the_batch(self):
-        with pytest.raises(BracketError):
-            refine_roots([(2, 0.60, 0.65), (2, 0.70, 0.75)])
-        with pytest.raises(ParameterRangeError):
-            refine_roots([(2, 0.60, 0.65), (SCAN_R_MAX + 1, 0.6, 0.7)])
-        with pytest.raises(ParameterRangeError):
-            refine_roots([(2, 0.60, 0.65)], tol=1e-9)
+        assert zero_finder._refine_scans([]) == []
 
     def test_flat_zero_fails_its_check(self, capsys, monkeypatch):
         # F = 0 within 1e-12 of 0.65 on (1/2, 1): the proxy finds the root,
@@ -190,8 +180,6 @@ class TestRefineRoots:
         assert not scan.count_stable
         assert main(["zeros", "--r", "2"]) == 5
         assert json.loads(capsys.readouterr().out)["zeros"] == []
-        with pytest.raises(BracketError, match="keeps a sign change"):
-            refine_root(2, 0.6, 0.7)
 
 
 class TestScanInterval:
@@ -236,8 +224,8 @@ class TestScanFolds:
     @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
     def test_shared_scan_equals_single_scans(self, k):
         # Up to r = 16 the rows i*s pass 10, where each point takes its own
-        # zeta configuration; one shared by the array would leak between
-        # the fold counts and the brackets of a batch.
+        # zeta term counts; counts shared by the array would leak between
+        # the fold counts and the roots of a batch.
         scans = scan_folds(k, range(k, SCAN_R_MAX + 1))
         assert sorted(scans) == list(range(k, SCAN_R_MAX + 1))
         for r, scan in scans.items():
@@ -372,21 +360,21 @@ class TestFindExtrema:
         record = records[0]
         assert record.kind == "minimum"
         assert record.abscissa == pytest.approx(0.69370259761572962, abs=1e-7)
-        assert record.value == pytest.approx(-4.0699729458290413, rel=1e-9)
+        assert record.value == pytest.approx(-4.0699729458290413, rel=1e-9, abs=0)
 
     def test_five_fold_maximum(self):
         records = find_extrema(5, 2)
         assert [rec.kind for rec in records] == ["maximum"]
         assert records[0].abscissa == pytest.approx(0.7761008829385023, abs=1e-7)
-        assert records[0].value == pytest.approx(6.0038161993641572, rel=1e-9)
+        assert records[0].value == pytest.approx(6.0038161993641572, rel=1e-9, abs=0)
 
     def test_six_fold_pair(self):
         records = find_extrema(6, 2)
         assert [rec.kind for rec in records] == ["maximum", "minimum"]
         assert records[0].abscissa == pytest.approx(0.57817352423281098, abs=1e-7)
-        assert records[0].value == pytest.approx(5.2835013927058331, rel=1e-9)
+        assert records[0].value == pytest.approx(5.2835013927058331, rel=1e-9, abs=0)
         assert records[1].abscissa == pytest.approx(0.8188700764017874, abs=1e-7)
-        assert records[1].value == pytest.approx(-10.90007445800677, rel=1e-9)
+        assert records[1].value == pytest.approx(-10.90007445800677, rel=1e-9, abs=0)
 
     def test_eight_fold_triple(self):
         records = find_extrema(8, 2)
@@ -395,7 +383,7 @@ class TestFindExtrema:
         values = [-12.19169304883889, 1.3344799262258101, -45.827650350148816]
         for record, a, v in zip(records, abscissas, values):
             assert record.abscissa == pytest.approx(a, abs=1e-7)
-            assert record.value == pytest.approx(v, rel=1e-9)
+            assert record.value == pytest.approx(v, rel=1e-9, abs=0)
 
     def test_monotone_interval_has_none(self):
         assert find_extrema(2, 2) == ()
