@@ -38,7 +38,13 @@ from .riemann_kernel import (
     riemann_zeta_alternating,
     riemann_zeta_grid,
 )
-from .zero_finder import IntervalScan, _interval_bounds, scan_folds, sign_profile
+from .zero_finder import (
+    IntervalScan,
+    _interval_bounds,
+    _refine_scans,
+    _scan_grid,
+    sign_profile,
+)
 
 _REFERENCE_CELLS = 4 * (4096 - 1)
 
@@ -251,12 +257,9 @@ def pole_side_parity() -> Check:
 
 
 def fold_scans(r_max: int) -> dict[tuple[int, int], IntervalScan]:
-    """Every interval scan for r = 2..r_max, one `scan_folds` per k."""
-    return {
-        (r, k): scan
-        for k in range(2, r_max + 1)
-        for r, scan in scan_folds(k, range(k, r_max + 1)).items()
-    }
+    """Every interval scan for r = 2..r_max, as one run: two fold tables."""
+    tasks = [(k, range(k, r_max + 1)) for k in range(2, r_max + 1)]
+    return {(scan.r, scan.k): scan for scan in _refine_scans(_scan_grid(tasks))}
 
 
 def _top(scans) -> int:

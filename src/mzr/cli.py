@@ -97,10 +97,11 @@ def build_plot_series(r: int, s_from: float, s_to: float, points: int) -> PlotSe
 def _scan_many(
     tasks: list[tuple[int, list[int]]], tol: float = BRACKET_WIDTH
 ) -> dict[tuple[int, int], object]:
-    """Scan many intervals.  Each task is (k, fold counts) and scans
-    interval k once for all of them; then every root of the run is checked
-    at +-0.45 tol in one fold table.  Results are keyed by (r, k)."""
-    scans = _refine_scans([g for k, r_values in tasks for g in _scan_grid(k, r_values)], tol)
+    """Scan many intervals from two fold tables.  Each task is (k, fold
+    counts) and scans interval k once for all of them; the proxy nodes of
+    every interval share the first table, and every root of the run is
+    checked at +-0.45 tol in the second.  Results are keyed by (r, k)."""
+    scans = _refine_scans(_scan_grid(tasks), tol)
     return {(scan.r, scan.k): scan for scan in scans}
 
 

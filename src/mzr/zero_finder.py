@@ -4,17 +4,17 @@ Each interval (1/k, 1/(k-1)) between consecutive asymptotes is scanned
 through a Chebyshev proxy: the r-fold function with its poles at both
 ends cancelled, which is analytic on the closed interval and has the
 same zeros inside it, interpolated at 128 and at 256 first-kind nodes.
-One fold table over the 384 nodes serves every fold count that needs the
-interval.  Each series is chopped at its coefficient plateau (Aurentz &
-Trefethen, ACM TOMS 43, 2017) and its roots are colleague-matrix
-eigenvalues (Boyd, SIAM J. Numer. Anal. 40, 2002).  Each root of the
-256-node proxy is polished by one Newton step on the full series, and
-the roots of all intervals of a run are checked together in one fold
-table: a root is a zero if the function changes sign across its
-0.9e-12-wide bracket, and its residual is |F| at the root.  A count that
-differs between the two proxies, an unresolved proxy, a near-real root
-pair (a possible even-order zero) or a root that fails its check is
-flagged instead of trusted.
+A run's scan evaluates the 384 nodes of every interval in one fold table,
+which serves every fold count that needs each interval.  Each series is
+chopped at its coefficient plateau (Aurentz & Trefethen, ACM TOMS 43,
+2017) and its roots are colleague-matrix eigenvalues (Boyd, SIAM J.
+Numer. Anal. 40, 2002).  Each root of the 256-node proxy is polished by
+one Newton step on the full series, and the roots of all intervals of a
+run are checked together in one more fold table: a root is a zero if the
+function changes sign across its 0.9e-12-wide bracket, and its residual
+is |F| at the root.  A count that differs between the two proxies, an
+unresolved proxy, a near-real root pair (a possible even-order zero) or
+a root that fails its check is flagged instead of trusted.
 
 Extrema are the roots of the same proxy's exact derivative, polished by
 the same Newton step; an unsettled extremum count raises
@@ -198,24 +198,32 @@ def _proxy_nodes(k: int, n: int) -> np.ndarray:
     return 1.0 / k + 0.5 * (1.0 / (k - 1) - 1.0 / k) * (1.0 + t)
 
 
-def _proxy(k: int, r_values: list[int]):
-    """The proxies of (1/k, 1/(k-1)) for r_values from one fold table, each
-    as (full 256-node series, (chopped 128- and 256-node series), resolved),
-    and the guarded interval as x in [0, 1].  With the end poles cancelled
-    as the kernel forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), g_r is
-    F_r x^(r // k) (1 - x)^(r // (k - 1)) times a positive constant."""
+def _proxy(tasks):
+    """The proxies of every task (k, r_values) of a run from one fold
+    table: per task, (1/k, 1/(k-1))'s proxy for each r in r_values as
+    (full 256-node series, (chopped 128- and 256-node series), resolved),
+    and the guarded interval as x in [0, 1].  The table holds the 384
+    nodes of each interval in turn, at the run's largest r; its values
+    are pointwise, so each proxy is the one its interval would get alone.
+    With the end poles cancelled as the kernel forms them, 1 / (k s - 1)
+    and 1 / ((k - 1) s - 1), g_r is F_r x^(r // k) (1 - x)^(r // (k - 1))
+    times a positive constant."""
     n = _PROXY_NODES
-    s = np.concatenate([_proxy_nodes(k, n), _proxy_nodes(k, 2 * n)])
-    table = _fold_table(max(r_values), s)
-    below, above = k * s - 1.0, 1.0 - (k - 1) * s
-    proxies = []
-    for r in r_values:
-        g = table[r] * below ** (r // k) * above ** (r // (k - 1))
-        (_, coarse, coarse_ok), (c, fine, ok) = _proxy_series(g[:n]), _proxy_series(g[n:])
-        proxies.append((c, (coarse, fine), coarse_ok and ok))
-    lo, hi = _interval_bounds(k)
-    width = 1.0 / (k - 1) - 1.0 / k
-    return proxies, (lo - 1.0 / k) / width, (hi - 1.0 / k) / width
+    nodes = [np.concatenate([_proxy_nodes(k, n), _proxy_nodes(k, 2 * n)]) for k, _ in tasks]
+    table = _fold_table(max(max(r_values) for _, r_values in tasks), np.concatenate(nodes))
+    found = []
+    for i, ((k, r_values), s) in enumerate(zip(tasks, nodes)):
+        columns = slice(3 * n * i, 3 * n * (i + 1))
+        below, above = k * s - 1.0, 1.0 - (k - 1) * s
+        proxies = []
+        for r in r_values:
+            g = table[r][columns] * below ** (r // k) * above ** (r // (k - 1))
+            (_, coarse, coarse_ok), (c, fine, ok) = _proxy_series(g[:n]), _proxy_series(g[n:])
+            proxies.append((c, (coarse, fine), coarse_ok and ok))
+        lo, hi = _interval_bounds(k)
+        width = 1.0 / (k - 1) - 1.0 / k
+        found.append((proxies, (lo - 1.0 / k) / width, (hi - 1.0 / k) / width))
+    return found
 
 
 def _proxy_series(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -253,34 +261,38 @@ def _series_roots(c: np.ndarray, x_lo: float, x_hi: float) -> tuple[list[float],
     return roots, sorted(suspects)
 
 
-def _scan_grid(k: int, r_values) -> list[tuple[IntervalScan, tuple[float, ...]]]:
-    """The proxy part of `scan_folds`: for every fold count, in ascending
-    r, its IntervalScan without zeros and the roots of its 256-node proxy,
-    each after one Newton step on the full series."""
-    r_values = list(r_values)
-    if not r_values:
-        raise ParameterRangeError("need at least one fold count")
-    for r in r_values:
-        _check_interval(r, k)
-    r_values = sorted(set(r_values))
-    proxies, x_lo, x_hi = _proxy(k, r_values)
-    width = 1.0 / (k - 1) - 1.0 / k
+def _scan_grid(tasks) -> list[tuple[IntervalScan, tuple[float, ...]]]:
+    """The proxy part of a run's scans, from one fold table: for every
+    task (k, r_values), in order, and every fold count in it, in
+    ascending r, its IntervalScan without zeros and the roots of its
+    256-node proxy, each after one Newton step on the full series."""
+    tasks = [(k, list(r_values)) for k, r_values in tasks]
+    for k, r_values in tasks:
+        if not r_values:
+            raise ParameterRangeError("need at least one fold count")
+        for r in r_values:
+            _check_interval(r, k)
+    if not tasks:
+        return []
+    tasks = [(k, sorted(set(r_values))) for k, r_values in tasks]
     scans = []
-    for r, (c, chopped, resolved) in zip(r_values, proxies):
-        (coarse, coarse_suspects), (roots, suspects) = (
-            _series_roots(s, x_lo, x_hi) for s in chopped
-        )
-        settled = len(coarse) == len(roots) and resolved
-        scan = IntervalScan(
-            r=r,
-            k=k,
-            zeros=(),
-            grid_counts=(len(coarse), len(roots)),
-            count_stable=settled and not (coarse_suspects or suspects),
-            tangency_suspects=tuple(1.0 / k + width * x for x in suspects),
-        )
-        t, _ = _newton_step(c, roots)
-        scans.append((scan, tuple((1.0 / k + width * 0.5 * (1.0 + t)).tolist())))
+    for (k, r_values), (proxies, x_lo, x_hi) in zip(tasks, _proxy(tasks)):
+        width = 1.0 / (k - 1) - 1.0 / k
+        for r, (c, chopped, resolved) in zip(r_values, proxies):
+            (coarse, coarse_suspects), (roots, suspects) = (
+                _series_roots(s, x_lo, x_hi) for s in chopped
+            )
+            settled = len(coarse) == len(roots) and resolved
+            scan = IntervalScan(
+                r=r,
+                k=k,
+                zeros=(),
+                grid_counts=(len(coarse), len(roots)),
+                count_stable=settled and not (coarse_suspects or suspects),
+                tangency_suspects=tuple(1.0 / k + width * x for x in suspects),
+            )
+            t, _ = _newton_step(c, roots)
+            scans.append((scan, tuple((1.0 / k + width * 0.5 * (1.0 + t)).tolist())))
     return scans
 
 
@@ -313,7 +325,7 @@ def _refine_scans(proxy_scans, tol: float = BRACKET_WIDTH) -> list[IntervalScan]
 
 def scan_folds(k: int, r_values) -> dict[int, IntervalScan]:
     """Locate and refine every zero in (1/k, 1/(k-1)) for each fold count
-    in r_values, from one fold table.
+    in r_values: the one-task case of a run's scan.
 
     The folds up to max(r_values) are evaluated once, at the 128 and the
     256 first-kind Chebyshev nodes of the interval.  Each fold count's
@@ -325,7 +337,7 @@ def scan_folds(k: int, r_values) -> dict[int, IntervalScan]:
     give it, both resolve, neither suspects a tangency and every root
     passes its check.  Returns one IntervalScan per fold count, keyed by r.
     """
-    return {scan.r: scan for scan in _refine_scans(_scan_grid(k, r_values))}
+    return {scan.r: scan for scan in _refine_scans(_scan_grid([(k, r_values)]))}
 
 
 def scan_interval(r: int, k: int) -> IntervalScan:
@@ -394,7 +406,7 @@ def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     """
     _check_interval(r, k)
     m_a, m_b = r // k, r // (k - 1)
-    ((c, chopped, resolved),), x_lo, x_hi = _proxy(k, [r])
+    (((c, chopped, resolved),), x_lo, x_hi), = _proxy([(k, [r])])
     (coarse, coarse_suspects), (roots, suspects) = (
         _series_roots(_extremum_series(s, m_a, m_b), x_lo, x_hi) for s in chopped
     )

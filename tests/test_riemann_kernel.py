@@ -2,6 +2,7 @@
 evaluation on the non-negative real line, and the independent
 alternating-series route used to cross-check it."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +17,12 @@ from mzr import (
     PoleProximityError,
     checks,
     bernoulli,
+    multizeta,
     riemann_zeta,
     riemann_zeta_alternating,
     riemann_zeta_grid,
 )
-from mzr.riemann_kernel import _direct_terms, _zeta_rows
+from mzr.riemann_kernel import _BLOCK, _direct_terms, _zeta_rows
 
 # Values computed independently at 40 decimal digits and frozen here;
 # the library never sees them except through these assertions.
@@ -85,6 +87,29 @@ class TestClassicalValues:
         assert riemann_zeta(60.0) >= 1.0
         assert riemann_zeta(60.0) == pytest.approx(1.0, rel=1e-13, abs=0)
         assert riemann_zeta(30.0) > 1.0
+
+
+class TestRoundsToOne:
+    def test_one_up_to_the_double_range(self):
+        # zeta(s) rounds to 1.0 from s = 54 on.  Past s ~ 2.6e13 (scalar)
+        # and 1.7e16 (grid) the Bernoulli corrections once gave NaN: an
+        # overflowed rising factorial times an underflowed power.
+        s = np.concatenate([np.geomspace(54.0, 1e308, 601), [2.6e13, 1.7e16, 1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(riemann_zeta_grid(s) == 1.0)
+            assert np.all(_zeta_rows(3, s) == 1.0)
+            for x in s.tolist():
+                assert riemann_zeta(x) == 1.0, x
+                assert multizeta(1, x) == 1.0, x
+
+    def test_values_below_54_are_summed_as_before(self):
+        # Just below 54 zeta(s) already summed to 1.0; a little lower it
+        # does not, and must not be cut off.
+        for x in (53.0, 53.5, np.nextafter(54.0, 0.0)):
+            assert riemann_zeta(float(x)) == 1.0
+            assert riemann_zeta_grid([x])[0] == 1.0
+        assert riemann_zeta(52.0) > 1.0
 
 
 class TestDomain:
@@ -184,9 +209,24 @@ class TestGridEvaluation:
         # the points are processed in blocks.
         s = np.linspace(0.52, 3.5, 4500)
         values = _zeta_rows(12, s)
-        for j in (0, 1, 1000, 2047, 2048, 2049, 4095, 4096, 4499):
+        b = _BLOCK // 12
+        for j in (0, 1, 1000, b - 1, b, b + 1, 4 * b - 1, 4 * b, 4499):
             np.testing.assert_array_equal(_zeta_rows(12, s[j : j + 1])[:, 0], values[:, j])
         np.testing.assert_array_equal(riemann_zeta_grid(s), values[0])
+
+    @pytest.mark.parametrize("r", [1, 16, 32])
+    def test_concatenation_keeps_the_rows_of_its_pieces(self, r):
+        # A block holds _BLOCK // r points; pieces laid end to end straddle
+        # the block edges in every way, and keep their rows bit for bit.
+        b = _BLOCK // r
+        rng = np.random.default_rng(r)
+        pieces = [rng.uniform(0.52, 3.5, n) for n in (1, b - 1, b, b + 1, 3 * b + 7)]
+        rows = _zeta_rows(r, np.concatenate(pieces))
+        lo = 0
+        for piece in pieces:
+            np.testing.assert_array_equal(rows[:, lo : lo + piece.size], _zeta_rows(r, piece))
+            lo += piece.size
+        assert lo == rows.shape[1]
 
     def test_grid_domain_errors(self):
         with pytest.raises(DomainError):

@@ -11,6 +11,7 @@ import pytest
 
 from mzr import (
     BRACKET_WIDTH,
+    checks,
     ExtremumRecord,
     NonConvergenceError,
     POLE_GUARD_RADIUS,
@@ -96,12 +97,12 @@ class TestRefineRoot:
         assert 0.0 <= record.residual < 1e-11
 
     def test_tighter_tolerance(self):
-        ((record,),) = zero_finder._refine_scans(zero_finder._scan_grid(2, [2]), tol=1e-13)
+        ((record,),) = zero_finder._refine_scans(zero_finder._scan_grid([(2, [2])]), tol=1e-13)
         assert record.bracket_hi - record.bracket_lo <= 1e-13
         assert record.abscissa == scan_interval(2, 2).zeros[0].abscissa
 
     def test_tolerance_validation(self):
-        proxies = zero_finder._scan_grid(2, [2])
+        proxies = zero_finder._scan_grid([(2, [2])])
         with pytest.raises(ParameterRangeError):
             zero_finder._refine_scans(proxies, tol=1e-15)
         with pytest.raises(ParameterRangeError):
@@ -121,7 +122,7 @@ class TestRefineRoot:
     def test_rejects_same_sign_endpoints(self):
         # The 2-fold function keeps one sign on [0.70, 0.75]: a root put
         # there fails its sign check, gives no zero and unsettles the count.
-        ((scan, _),) = zero_finder._scan_grid(2, [2])
+        ((scan, _),) = zero_finder._scan_grid([(2, [2])])
         assert scan.count_stable
         (refined,) = zero_finder._refine_scans([(scan, (0.72,))])
         assert refined.zeros == ()
@@ -151,12 +152,12 @@ class TestRefineRoots:
     """Every root of a run refined in one batch, as the CLI refines them."""
 
     def test_batch_equals_single_brackets(self):
-        # The 228 zeros of `census --r-max 16`, refined together, are field
-        # for field those of each interval refined alone, and each bracket
-        # sits inside its interval and straddles a sign change.
+        # The 228 zeros of `census --r-max 16`, scanned and refined as one
+        # run, are field for field those of each interval scanned alone,
+        # and each bracket sits inside its interval and straddles a sign
+        # change.
         tasks = [(k, range(k, SCAN_R_MAX + 1)) for k in range(2, SCAN_R_MAX + 1)]
-        proxies = [g for k, r_values in tasks for g in zero_finder._scan_grid(k, r_values)]
-        batch = zero_finder._refine_scans(proxies)
+        batch = zero_finder._refine_scans(zero_finder._scan_grid(tasks))
         single = [scan for k, r_values in tasks for scan in scan_folds(k, r_values).values()]
         assert batch == single
         records = [zero for scan in batch for zero in scan.zeros]
@@ -166,6 +167,7 @@ class TestRefineRoots:
             assert multizeta(z.r, z.bracket_lo) * multizeta(z.r, z.bracket_hi) < 0.0, z
 
     def test_empty_batch(self):
+        assert zero_finder._scan_grid([]) == []
         assert zero_finder._refine_scans([]) == []
 
     def test_flat_zero_fails_its_check(self, capsys, monkeypatch):
@@ -231,23 +233,43 @@ class TestScanFolds:
         for r, scan in scans.items():
             assert scan == scan_interval(r, k), (r, k)
 
-    def test_census_makes_one_fold_table_per_interval(self, capsys, monkeypatch):
+    def test_a_run_makes_two_fold_tables(self, capsys, monkeypatch):
+        # One table over the proxy nodes of every interval of the run, one
+        # over every root check.
         sizes = []
         kernel = multizeta_module._zeta_rows
 
-        def counted(r, s, *args, **kwargs):
+        def counted(r, s):
             sizes.append(len(s))
-            return kernel(r, s, *args, **kwargs)
+            return kernel(r, s)
 
         monkeypatch.setattr(multizeta_module, "_zeta_rows", counted)
         assert main(["census", "--r-max", "8"]) == 0
+        assert len(sizes) == 2
+        assert sizes[0] == 7 * 3 * zero_finder._PROXY_NODES
+        sizes.clear()
+        assert main(["zeros", "--r", "16"]) == 0
+        assert len(sizes) == 2
+        assert sizes[0] == 15 * 3 * zero_finder._PROXY_NODES
         capsys.readouterr()
-        # Intervals k = 2..8, one table of 3n points each (the nodes of
-        # the n- and 2n-node proxies); every root of the run is checked in
-        # one more table.
-        scan = [n for n in sizes if n == 3 * zero_finder._PROXY_NODES]
-        assert len(scan) == 7
-        assert len(sizes) == 8
+        sizes.clear()
+        checks.fold_scans(8)
+        assert len(sizes) == 2
+
+    def test_run_zeros_equal_single_interval_runs(self, capsys):
+        # `zeros --r 16` scans its fifteen intervals from one table; its
+        # records are those of `zeros --r 16 --k k` for each k.
+        assert main(["zeros", "--r", "16"]) == 0
+        run = json.loads(capsys.readouterr().out)
+        single = {"zeros": [], "intervals": []}
+        for k in range(16, 1, -1):
+            assert main(["zeros", "--r", "16", "--k", str(k)]) == 0
+            one = json.loads(capsys.readouterr().out)
+            single["zeros"] += one["zeros"]
+            single["intervals"] += one["intervals"]
+        assert len(run["zeros"]) == 34
+        assert run["zeros"] == single["zeros"]
+        assert run["intervals"] == single["intervals"]
 
     def test_validation(self):
         with pytest.raises(ParameterRangeError):
@@ -273,7 +295,7 @@ class TestChebyshevProxy:
             return found
 
         monkeypatch.setattr(zero_finder, "_proxy_series", recorded)
-        scans = [scan for scan, _ in zero_finder._scan_grid(k, range(k, SCAN_R_MAX + 1))]
+        scans = [scan for scan, _ in zero_finder._scan_grid([(k, range(k, SCAN_R_MAX + 1))])]
         assert [scan.grid_counts for scan in scans] == [
             (r // k, r // k) for r in range(k, SCAN_R_MAX + 1)
         ]
@@ -310,7 +332,7 @@ class TestChebyshevProxy:
         for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
             _, _, resolved = zero_finder._proxy_series(rng.standard_normal(n))
             assert not resolved
-        ((scan, _),) = zero_finder._scan_grid(2, [2])
+        ((scan, _),) = zero_finder._scan_grid([(2, [2])])
         assert not scan.count_stable
 
     def test_zeros_match_the_mpmath_oracle(self):
@@ -324,7 +346,7 @@ class TestChebyshevProxy:
         for tol in (BRACKET_WIDTH, 1e-14):
             seen = set()
             for k in range(2, top + 1):
-                proxies = zero_finder._scan_grid(k, range(k, top + 1))
+                proxies = zero_finder._scan_grid([(k, range(k, top + 1))])
                 for scan in zero_finder._refine_scans(proxies, tol):
                     assert scan.count_stable, (scan.r, k, tol)
                     for z in scan.zeros:
