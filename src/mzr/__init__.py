@@ -42,13 +42,11 @@ from .zero_finder import (
     SCAN_R_MAX,
     ExtremumRecord,
     IntervalScan,
-    SignProfile,
     ZeroRecord,
     delta_exclusion,
     find_extrema,
     scan_folds,
     scan_interval,
-    sign_profile,
 )
 from .census import (
     EULER_GAMMA,
@@ -104,13 +102,11 @@ __all__ = [
     "SCAN_R_MAX",
     "ExtremumRecord",
     "IntervalScan",
-    "SignProfile",
     "ZeroRecord",
     "delta_exclusion",
     "find_extrema",
     "scan_folds",
     "scan_interval",
-    "sign_profile",
     # census
     "EULER_GAMMA",
     "CensusReport",

@@ -5,8 +5,9 @@ and its detail string, and returns a `Check` record.  `mzr verify` runs
 `SUITES` at the default sizes; the acceptance gate
 (`tests/test_acceptance.py`) calls the same functions at larger ones.
 Checks that share work take the shared object as an argument: the zero
-checks an `{(r, k): IntervalScan}` map from `fold_scans`, the census
-checks the `iaz_predicted_range` array.
+checks the `{(r, k): IntervalScan}` map of a census run, which
+`fold_scans` and `mzr census` both get from `zero_finder._scan_many`, the
+census checks the `iaz_predicted_range` array.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .census import (
     iaz_predicted,
     iaz_predicted_range,
 )
-from .multizeta import closed_form, multizeta, truncated_euler_zagier
+from .multizeta import closed_form, multizeta, multizeta_grid, truncated_euler_zagier
 from .riemann_kernel import (
     _direct_terms,
     _tail,
@@ -38,13 +39,7 @@ from .riemann_kernel import (
     riemann_zeta_alternating,
     riemann_zeta_grid,
 )
-from .zero_finder import (
-    IntervalScan,
-    _interval_bounds,
-    _refine_scans,
-    _scan_grid,
-    sign_profile,
-)
+from .zero_finder import IntervalScan, _census_tasks, _interval_bounds, _scan_many
 
 _REFERENCE_CELLS = 4 * (4096 - 1)
 
@@ -176,14 +171,14 @@ def truncated_sums(
 
 
 def constant_sign() -> Check:
-    profile_ok = True
+    signs_ok = True
     min_abs = math.inf
     for r in range(1, 13):
-        report = sign_profile(r, 200)
-        profile_ok = profile_ok and report.passed and report.expected_sign == (-1) ** r
-        min_abs = min(min_abs, report.min_abs_value)
+        values = multizeta_grid(r, np.linspace(0.0, 1.0 / r - 1e-6, 200))
+        signs_ok = signs_ok and bool(np.all((-1) ** r * values > 0.0))
+        min_abs = min(min_abs, float(np.min(np.abs(values))))
     return Check(
-        "constant sign (-1)^r on [0, 1/r)", profile_ok, f"min |value| {min_abs:.3e}"
+        "constant sign (-1)^r on [0, 1/r)", signs_ok, f"min |value| {min_abs:.3e}"
     )
 
 
@@ -257,9 +252,9 @@ def pole_side_parity() -> Check:
 
 
 def fold_scans(r_max: int) -> dict[tuple[int, int], IntervalScan]:
-    """Every interval scan for r = 2..r_max, as one run: two fold tables."""
-    tasks = [(k, range(k, r_max + 1)) for k in range(2, r_max + 1)]
-    return {(scan.r, scan.k): scan for scan in _refine_scans(_scan_grid(tasks))}
+    """Every interval scan for r = 2..r_max, as the census run: two fold
+    tables."""
+    return _scan_many(_census_tasks(r_max))
 
 
 def _top(scans) -> int:

@@ -34,14 +34,7 @@ from .errors import (
     _check_int,
 )
 from .multizeta import R_MAX, multizeta, multizeta_grid
-from .zero_finder import (
-    BRACKET_WIDTH,
-    SCAN_R_MAX,
-    _refine_scans,
-    _scan_grid,
-    delta_exclusion,
-    find_extrema,
-)
+from .zero_finder import SCAN_R_MAX, _census_tasks, _extrema, _scan_many, delta_exclusion
 
 __all__ = ["PlotSeries", "build_plot_series", "main"]
 
@@ -92,17 +85,6 @@ def build_plot_series(r: int, s_from: float, s_to: float, points: int) -> PlotSe
     values = multizeta_grid(r, kept)
     samples = tuple((float(a), float(v)) for a, v in zip(kept, values))
     return PlotSeries(r=r, samples=samples, excluded=tuple(gaps))
-
-
-def _scan_many(
-    tasks: list[tuple[int, list[int]]], tol: float = BRACKET_WIDTH
-) -> dict[tuple[int, int], object]:
-    """Scan many intervals from two fold tables.  Each task is (k, fold
-    counts) and scans interval k once for all of them; the proxy nodes of
-    every interval share the first table, and every root of the run is
-    checked at +-0.45 tol in the second.  Results are keyed by (r, k)."""
-    scans = _refine_scans(_scan_grid(tasks), tol)
-    return {(scan.r, scan.k): scan for scan in scans}
 
 
 def _print_json(payload) -> None:
@@ -164,10 +146,8 @@ def _cmd_zeros(args) -> int:
 def _cmd_extrema(args) -> int:
     r = args.r
     _check_int(r, "fold count", 1, SCAN_R_MAX)
-    records = []
-    for k in range(r, 1, -1):
-        for rec in find_extrema(r, k):
-            records.append(dataclasses.asdict(rec))
+    found = _extrema([(k, [r]) for k in range(r, 1, -1)])
+    records = [dataclasses.asdict(rec) for recs in found.values() for rec in recs]
     _print_json({"r": r, "extrema": records})
     return 0
 
@@ -194,7 +174,7 @@ def _cmd_census(args) -> int:
     r_max = args.r_max
     if not 2 <= r_max <= SCAN_R_MAX:
         raise ParameterRangeError(f"census fold cap {r_max} outside [2, {SCAN_R_MAX}]")
-    scans = _scan_many([(k, list(range(k, r_max + 1))) for k in range(2, r_max + 1)])
+    scans = _scan_many(_census_tasks(r_max))
     reports = []
     unstable_intervals = []
     for r in range(2, r_max + 1):

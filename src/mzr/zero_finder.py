@@ -16,8 +16,10 @@ is |F| at the root.  A count that differs between the two proxies, an
 unresolved proxy, a near-real root pair (a possible even-order zero) or
 a root that fails its check is flagged instead of trusted.
 
-Extrema are the roots of the same proxy's exact derivative, polished by
-the same Newton step; an unsettled extremum count raises
+Extrema are the roots of the same proxy's exact derivative, found by the
+same root stage and polished by the same Newton step; like a run's
+zeros, a run's extrema come from two fold tables, the proxy nodes and the
+values at every extremum.  An unsettled extremum count raises
 NonConvergenceError.
 """
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterRangeError, _check_int
-from .multizeta import _fold_table, multizeta_grid
+from .multizeta import _fold_table
 
 __all__ = [
     "SCAN_R_MAX",
@@ -36,12 +38,10 @@ __all__ = [
     "ZeroRecord",
     "ExtremumRecord",
     "IntervalScan",
-    "SignProfile",
     "delta_exclusion",
     "scan_interval",
     "scan_folds",
     "find_extrema",
-    "sign_profile",
 ]
 
 # Scans above this fold count are untested territory; refuse rather than
@@ -153,17 +153,6 @@ class IntervalScan:
         return len(self.zeros)
 
 
-@dataclass(frozen=True)
-class SignProfile:
-    """Constant-sign check on [0, 1/r - 1e-6]."""
-
-    r: int
-    grid: int
-    expected_sign: int
-    min_abs_value: float
-    passed: bool
-
-
 def _check_interval(r: int, k: int) -> None:
     _check_int(r, "fold count", 2, SCAN_R_MAX)
     _check_int(k, "interval index", 2, r)
@@ -196,34 +185,6 @@ def _proxy_nodes(k: int, n: int) -> np.ndarray:
     pi^2 w / (16 n^2) inside, for an interval of width w."""
     t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
     return 1.0 / k + 0.5 * (1.0 / (k - 1) - 1.0 / k) * (1.0 + t)
-
-
-def _proxy(tasks):
-    """The proxies of every task (k, r_values) of a run from one fold
-    table: per task, (1/k, 1/(k-1))'s proxy for each r in r_values as
-    (full 256-node series, (chopped 128- and 256-node series), resolved),
-    and the guarded interval as x in [0, 1].  The table holds the 384
-    nodes of each interval in turn, at the run's largest r; its values
-    are pointwise, so each proxy is the one its interval would get alone.
-    With the end poles cancelled as the kernel forms them, 1 / (k s - 1)
-    and 1 / ((k - 1) s - 1), g_r is F_r x^(r // k) (1 - x)^(r // (k - 1))
-    times a positive constant."""
-    n = _PROXY_NODES
-    nodes = [np.concatenate([_proxy_nodes(k, n), _proxy_nodes(k, 2 * n)]) for k, _ in tasks]
-    table = _fold_table(max(max(r_values) for _, r_values in tasks), np.concatenate(nodes))
-    found = []
-    for i, ((k, r_values), s) in enumerate(zip(tasks, nodes)):
-        columns = slice(3 * n * i, 3 * n * (i + 1))
-        below, above = k * s - 1.0, 1.0 - (k - 1) * s
-        proxies = []
-        for r in r_values:
-            g = table[r][columns] * below ** (r // k) * above ** (r // (k - 1))
-            (_, coarse, coarse_ok), (c, fine, ok) = _proxy_series(g[:n]), _proxy_series(g[n:])
-            proxies.append((c, (coarse, fine), coarse_ok and ok))
-        lo, hi = _interval_bounds(k)
-        width = 1.0 / (k - 1) - 1.0 / k
-        found.append((proxies, (lo - 1.0 / k) / width, (hi - 1.0 / k) / width))
-    return found
 
 
 def _proxy_series(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -261,11 +222,19 @@ def _series_roots(c: np.ndarray, x_lo: float, x_hi: float) -> tuple[list[float],
     return roots, sorted(suspects)
 
 
-def _scan_grid(tasks) -> list[tuple[IntervalScan, tuple[float, ...]]]:
-    """The proxy part of a run's scans, from one fold table: for every
-    task (k, r_values), in order, and every fold count in it, in
-    ascending r, its IntervalScan without zeros and the roots of its
-    256-node proxy, each after one Newton step on the full series."""
+def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
+    """The proxy-root stage of a run, from one fold table: for every task
+    (k, r_values), in order, and every fold count in it, in ascending r,
+    its IntervalScan without zeros, the roots of its 256-node proxy g (or
+    of series(g, r, k)) in the guarded interval, each after one Newton
+    step on the full series, and the slopes that step used.
+
+    The table holds the 384 nodes of each interval in turn, at the run's
+    largest r; its values are pointwise, so each proxy is the one its
+    interval would get alone.  With the end poles cancelled as the kernel
+    forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), g_r is
+    F_r x^(r // k) (1 - x)^(r // (k - 1)) times a positive constant, in
+    x in [0, 1] across the interval."""
     tasks = [(k, list(r_values)) for k, r_values in tasks]
     for k, r_values in tasks:
         if not r_values:
@@ -275,14 +244,25 @@ def _scan_grid(tasks) -> list[tuple[IntervalScan, tuple[float, ...]]]:
     if not tasks:
         return []
     tasks = [(k, sorted(set(r_values))) for k, r_values in tasks]
-    scans = []
-    for (k, r_values), (proxies, x_lo, x_hi) in zip(tasks, _proxy(tasks)):
+    n = _PROXY_NODES
+    nodes = [np.concatenate([_proxy_nodes(k, n), _proxy_nodes(k, 2 * n)]) for k, _ in tasks]
+    table = _fold_table(max(max(r_values) for _, r_values in tasks), np.concatenate(nodes))
+    found = []
+    for i, ((k, r_values), s) in enumerate(zip(tasks, nodes)):
+        columns = slice(3 * n * i, 3 * n * (i + 1))
+        below, above = k * s - 1.0, 1.0 - (k - 1) * s
+        lo, hi = _interval_bounds(k)
         width = 1.0 / (k - 1) - 1.0 / k
-        for r, (c, chopped, resolved) in zip(r_values, proxies):
+        x_lo, x_hi = (lo - 1.0 / k) / width, (hi - 1.0 / k) / width
+        for r in r_values:
+            g = table[r][columns] * below ** (r // k) * above ** (r // (k - 1))
+            (_, coarse, coarse_ok), (c, fine, ok) = _proxy_series(g[:n]), _proxy_series(g[n:])
+            if series is not None:
+                c, coarse, fine = (series(f, r, k) for f in (c, coarse, fine))
             (coarse, coarse_suspects), (roots, suspects) = (
-                _series_roots(s, x_lo, x_hi) for s in chopped
+                _series_roots(f, x_lo, x_hi) for f in (coarse, fine)
             )
-            settled = len(coarse) == len(roots) and resolved
+            settled = len(coarse) == len(roots) and coarse_ok and ok
             scan = IntervalScan(
                 r=r,
                 k=k,
@@ -291,9 +271,10 @@ def _scan_grid(tasks) -> list[tuple[IntervalScan, tuple[float, ...]]]:
                 count_stable=settled and not (coarse_suspects or suspects),
                 tangency_suspects=tuple(1.0 / k + width * x for x in suspects),
             )
-            t, _ = _newton_step(c, roots)
-            scans.append((scan, tuple((1.0 / k + width * 0.5 * (1.0 + t)).tolist())))
-    return scans
+            t, slope = _newton_step(c, roots)
+            x = tuple((1.0 / k + width * 0.5 * (1.0 + t)).tolist())
+            found.append((scan, x, tuple(slope)))
+    return found
 
 
 def _refine_scans(proxy_scans, tol: float = BRACKET_WIDTH) -> list[IntervalScan]:
@@ -307,12 +288,12 @@ def _refine_scans(proxy_scans, tol: float = BRACKET_WIDTH) -> list[IntervalScan]
             f"bracket tolerance must lie in [1e-14, {BRACKET_WIDTH}], got {tol!r}"
         )
     h = 0.45 * tol
-    r = np.array([scan.r for scan, roots in proxy_scans for _ in roots], dtype=int)
-    x = np.array([root for _, roots in proxy_scans for root in roots], dtype=float)
+    r = np.array([scan.r for scan, roots, _ in proxy_scans for _ in roots], dtype=int)
+    x = np.array([root for _, roots, _ in proxy_scans for root in roots], dtype=float)
     f = _fold_values(r, x[:, None] + np.array([-h, 0.0, h]))
     checks = iter(zip(_straddles(f[:, 0], f[:, 2]).tolist(), np.abs(f[:, 1]).tolist()))
     scans = []
-    for scan, roots in proxy_scans:
+    for scan, roots, _ in proxy_scans:
         zeros, stable = [], scan.count_stable
         for root in roots:
             held, residual = next(checks)
@@ -321,6 +302,21 @@ def _refine_scans(proxy_scans, tol: float = BRACKET_WIDTH) -> list[IntervalScan]
             stable = stable and held
         scans.append(replace(scan, zeros=tuple(zeros), count_stable=stable))
     return scans
+
+
+def _scan_many(tasks, tol: float = BRACKET_WIDTH) -> dict[tuple[int, int], IntervalScan]:
+    """Scan many intervals from two fold tables.  Each task is (k, fold
+    counts) and scans interval k once for all of them; the proxy nodes of
+    every interval share the first table, and every root of the run is
+    checked at +-0.45 tol in the second.  Results are keyed by (r, k), in
+    task order."""
+    return {(scan.r, scan.k): scan for scan in _refine_scans(_scan_grid(tasks), tol)}
+
+
+def _census_tasks(r_max: int) -> list[tuple[int, range]]:
+    """The run of a census up to r_max: every interval k = 2..r_max once,
+    for each fold count k..r_max it belongs to."""
+    return [(k, range(k, r_max + 1)) for k in range(2, r_max + 1)]
 
 
 def scan_folds(k: int, r_values) -> dict[int, IntervalScan]:
@@ -337,7 +333,7 @@ def scan_folds(k: int, r_values) -> dict[int, IntervalScan]:
     give it, both resolve, neither suspects a tangency and every root
     passes its check.  Returns one IntervalScan per fold count, keyed by r.
     """
-    return {scan.r: scan for scan in _refine_scans(_scan_grid([(k, r_values)]))}
+    return {r: scan for (r, _), scan in _scan_many([(k, r_values)]).items()}
 
 
 def scan_interval(r: int, k: int) -> IntervalScan:
@@ -346,12 +342,14 @@ def scan_interval(r: int, k: int) -> IntervalScan:
     return scan_folds(k, [r])[r]
 
 
-def _extremum_series(c: np.ndarray, m_a: int, m_b: int) -> np.ndarray:
-    """h = x (1 - x) g' - (m_a (1 - x) - m_b x) g for the series c of a
-    proxy g in t = 2x - 1: x^(m_a+1) (1 - x)^(m_b+1) F' times a positive
+def _extremum_series(c: np.ndarray, r: int, k: int) -> np.ndarray:
+    """h = x (1 - x) g' - (m_a (1 - x) - m_b x) g, m_a = r // k and
+    m_b = r // (k - 1), for the series c in t = 2x - 1 of the r-fold proxy
+    g of interval k: x^(m_a+1) (1 - x)^(m_b+1) F' times a positive
     constant, so its roots are the extrema of F and its sign that of F'."""
     from numpy.polynomial.chebyshev import chebmul, chebsub
 
+    m_a, m_b = r // k, r // (k - 1)
     # x (1 - x) d/dx = (1 - t^2)/2 d/dt, dt/dx = 2 included, = (T_0 - T_2)/4 d/dt.
     slope = chebmul([0.25, 0.0, -0.25], _chebder(c))
     return chebsub(slope, chebmul([(m_a - m_b) / 2, -(m_a + m_b) / 2], c))
@@ -392,8 +390,36 @@ def _newton_step(c: np.ndarray, roots) -> tuple[np.ndarray, list[float]]:
     return np.array([u - _chebval(u, c) / d for u, d in zip(t, slope)]), slope
 
 
+def _extrema(tasks) -> dict[tuple[int, int], tuple[ExtremumRecord, ...]]:
+    """The extrema of every task (k, r_values) of a run, keyed by (r, k) in
+    task order, from two fold tables: the proxy-root stage on
+    `_extremum_series`, then the value at every extremum of the run.  An
+    extremum is a minimum if h rises through it.  NonConvergenceError
+    names the first (r, k), in task order, whose count is not stable."""
+    found = _scan_grid(tasks, _extremum_series)
+    for scan, _, _ in found:
+        if not scan.count_stable:
+            raise NonConvergenceError(
+                f"extrema of the {scan.r}-fold function in (1/{scan.k}, 1/{scan.k - 1}) "
+                f"did not settle: {scan.grid_counts[0]} and {scan.grid_counts[1]} roots "
+                f"at {_PROXY_NODES} and {2 * _PROXY_NODES} nodes"
+            )
+    r = np.array([scan.r for scan, xs, _ in found for _ in xs], dtype=int)
+    x = np.array([a for _, xs, _ in found for a in xs], dtype=float)
+    values = iter(_fold_values(r, x[:, None])[:, 0].tolist())
+    return {
+        (scan.r, scan.k): tuple(
+            ExtremumRecord(scan.r, scan.k, a, next(values), "minimum" if d > 0.0 else "maximum")
+            for a, d in zip(xs, slopes)
+        )
+        for scan, xs, slopes in found
+    }
+
+
 def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
-    """Locate the local extrema of the r-fold function in (1/k, 1/(k-1)).
+    """Locate the local extrema of the r-fold function in (1/k, 1/(k-1)):
+    the one-task case of a run's extrema, which, like its zeros, come from
+    two fold tables.
 
     They are the real roots, in the guarded interval, of the zeros'
     Chebyshev proxy g (see `scan_folds`) turned into its exact derivative
@@ -402,41 +428,6 @@ def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     root of the 256-node proxy gets one Newton step on h from the full
     series; h rising through it marks a minimum.  NonConvergenceError is
     raised unless both proxies give the count, resolve and suspect no
-    tangency.  Values come from one fold table; records ascend.
+    tangency.  Values come from the second table; records ascend.
     """
-    _check_interval(r, k)
-    m_a, m_b = r // k, r // (k - 1)
-    (((c, chopped, resolved),), x_lo, x_hi), = _proxy([(k, [r])])
-    (coarse, coarse_suspects), (roots, suspects) = (
-        _series_roots(_extremum_series(s, m_a, m_b), x_lo, x_hi) for s in chopped
-    )
-    if len(coarse) != len(roots) or not resolved or coarse_suspects or suspects:
-        raise NonConvergenceError(
-            f"extrema of the {r}-fold function in (1/{k}, 1/{k - 1}) did not settle: "
-            f"{len(coarse)} and {len(roots)} roots, resolved {resolved}"
-        )
-    t, slope = _newton_step(_extremum_series(c, m_a, m_b), roots)
-    x = 1.0 / k + (1.0 / (k - 1) - 1.0 / k) * 0.5 * (1.0 + t)
-    value = _fold_values(np.full(x.size, r), x[:, None])[:, 0]
-    return tuple(
-        ExtremumRecord(r, k, float(a), float(v), "minimum" if d > 0.0 else "maximum")
-        for a, v, d in zip(x, value, slope)
-    )
-
-
-def sign_profile(r: int, grid: int = 200) -> SignProfile:
-    """Check that the r-fold function keeps the sign (-1)^r on
-    [0, 1/r - 1e-6] sampled at `grid` points."""
-    _check_int(r, "fold count", 1, SCAN_R_MAX)
-    _check_int(grid, "grid", 2)
-    s = np.linspace(0.0, 1.0 / r - 1e-6, grid)
-    v = multizeta_grid(r, s)
-    expected = 1 if r % 2 == 0 else -1
-    passed = bool(np.all(expected * v > 0.0))
-    return SignProfile(
-        r=r,
-        grid=grid,
-        expected_sign=expected,
-        min_abs_value=float(np.min(np.abs(v))),
-        passed=passed,
-    )
+    return _extrema([(k, [r])])[(r, k)]

@@ -214,6 +214,9 @@ class TestZeros:
         code, out, _ = run(capsys, "zeros", "--r", "1")
         assert code == 0
         assert json.loads(out) == {"r": 1, "zeros": [], "intervals": []}
+        code, out, _ = run(capsys, "extrema", "--r", "1")
+        assert code == 0
+        assert json.loads(out) == {"r": 1, "extrema": []}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Zero and extremum location between consecutive asymptotes: the
 refinement of each proxy root and its record contract, the Chebyshev
-proxy scan, and the constant-sign check on the leftmost segment."""
+proxy scan, the extrema, and the constant-sign check on the leftmost
+segment."""
 import importlib
 import json
 import math
@@ -23,7 +24,6 @@ from mzr import (
     multizeta,
     scan_folds,
     scan_interval,
-    sign_profile,
 )
 from mzr.cli import main
 
@@ -122,9 +122,9 @@ class TestRefineRoot:
     def test_rejects_same_sign_endpoints(self):
         # The 2-fold function keeps one sign on [0.70, 0.75]: a root put
         # there fails its sign check, gives no zero and unsettles the count.
-        ((scan, _),) = zero_finder._scan_grid([(2, [2])])
+        ((scan, _, _),) = zero_finder._scan_grid([(2, [2])])
         assert scan.count_stable
-        (refined,) = zero_finder._refine_scans([(scan, (0.72,))])
+        (refined,) = zero_finder._refine_scans([(scan, (0.72,), (1.0,))])
         assert refined.zeros == ()
         assert not refined.count_stable
 
@@ -235,7 +235,7 @@ class TestScanFolds:
 
     def test_a_run_makes_two_fold_tables(self, capsys, monkeypatch):
         # One table over the proxy nodes of every interval of the run, one
-        # over every root check.
+        # over every root check or extremum value.
         sizes = []
         kernel = multizeta_module._zeta_rows
 
@@ -249,6 +249,10 @@ class TestScanFolds:
         assert sizes[0] == 7 * 3 * zero_finder._PROXY_NODES
         sizes.clear()
         assert main(["zeros", "--r", "16"]) == 0
+        assert len(sizes) == 2
+        assert sizes[0] == 15 * 3 * zero_finder._PROXY_NODES
+        sizes.clear()
+        assert main(["extrema", "--r", "16"]) == 0
         assert len(sizes) == 2
         assert sizes[0] == 15 * 3 * zero_finder._PROXY_NODES
         capsys.readouterr()
@@ -295,7 +299,7 @@ class TestChebyshevProxy:
             return found
 
         monkeypatch.setattr(zero_finder, "_proxy_series", recorded)
-        scans = [scan for scan, _ in zero_finder._scan_grid([(k, range(k, SCAN_R_MAX + 1))])]
+        scans = [scan for scan, _, _ in zero_finder._scan_grid([(k, range(k, SCAN_R_MAX + 1))])]
         assert [scan.grid_counts for scan in scans] == [
             (r // k, r // k) for r in range(k, SCAN_R_MAX + 1)
         ]
@@ -332,7 +336,7 @@ class TestChebyshevProxy:
         for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
             _, _, resolved = zero_finder._proxy_series(rng.standard_normal(n))
             assert not resolved
-        ((scan, _),) = zero_finder._scan_grid([(2, [2])])
+        ((scan, _, _),) = zero_finder._scan_grid([(2, [2])])
         assert not scan.count_stable
 
     def test_zeros_match_the_mpmath_oracle(self):
@@ -479,13 +483,27 @@ class TestFindExtrema:
         assert sum(map(len, records.values())) == 108
         for found in records.values():
             assert all(a.kind != b.kind for a, b in zip(found, found[1:]))
-        # Values with no plateau to chop at: no count can be trusted.
+        # Values with no plateau to chop at: no count can be trusted, and
+        # a run names the first interval it tried, k = 4.
         rng = np.random.default_rng(7)
         _inject_folds(monkeypatch, lambda s: rng.standard_normal(s.size))
-        with pytest.raises(NonConvergenceError):
+        with pytest.raises(NonConvergenceError, match=r"4-fold .* \(1/2, 1/1\)"):
             find_extrema(4, 2)
         assert main(["extrema", "--r", "4"]) == 4
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4-fold function in (1/4, 1/3) did not settle" in captured.err
+        assert f"roots at {zero_finder._PROXY_NODES} and" in captured.err
+
+    def test_one_run_equals_single_interval_calls(self):
+        # One run over the 120 intervals with r <= 16, from two fold
+        # tables, gives the records of each interval found alone, bit for
+        # bit.
+        tasks = [(k, range(k, SCAN_R_MAX + 1)) for k in range(2, SCAN_R_MAX + 1)]
+        run = zero_finder._extrema(tasks)
+        assert len(run) == 120
+        assert sum(map(len, run.values())) == 108
+        assert run == {(r, k): find_extrema(r, k) for r, k in run}
 
 
 def _mp_derivative(mpmath, r, x):
@@ -506,21 +524,26 @@ def _mp_derivative(mpmath, r, x):
 
 
 class TestSignProfile:
-    @pytest.mark.parametrize("r", [1, 2, 3, 7, 12])
-    def test_constant_sign_on_leftmost_segment(self, r):
-        profile = sign_profile(r, 200)
-        assert profile.passed
-        assert profile.expected_sign == (1 if r % 2 == 0 else -1)
-        assert profile.min_abs_value > 0.0
-        assert profile.grid == 200
+    """`checks.constant_sign`: the sign (-1)^r on [0, 1/r - 1e-6]."""
 
-    def test_validation(self):
-        with pytest.raises(ParameterRangeError):
-            sign_profile(0, 200)
-        with pytest.raises(ParameterRangeError):
-            sign_profile(SCAN_R_MAX + 1, 200)
-        with pytest.raises(ParameterRangeError):
-            sign_profile(3, 1)
+    @pytest.mark.parametrize("r", [1, 2, 3, 7, 12])
+    def test_constant_sign_on_leftmost_segment(self, r, monkeypatch):
+        # The check samples fold r at 200 points of the sign (-1)^r, and
+        # fails if that fold's sign is flipped.
+        grid, seen, flip = checks.multizeta_grid, {}, []
+
+        def recorded(q, s):
+            seen[q] = grid(q, s)
+            return -seen[q] if q in flip else seen[q]
+
+        monkeypatch.setattr(checks, "multizeta_grid", recorded)
+        check = checks.constant_sign()
+        assert check.passed
+        assert seen[r].size == 200
+        assert np.all((1 if r % 2 == 0 else -1) * seen[r] > 0.0)
+        assert float(check.detail.split()[-1]) > 0.0
+        flip.append(r)
+        assert not checks.constant_sign().passed
 
 
 class TestRecordInvariants:
