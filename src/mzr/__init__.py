@@ -16,7 +16,6 @@ from .riemann_kernel import (
     bernoulli,
     riemann_zeta,
     riemann_zeta_alternating,
-    riemann_zeta_grid,
 )
 from .multizeta import (
     R_MAX,
@@ -33,7 +32,6 @@ from .asymptotics import (
     coefficient_numeric,
     coefficient_recursive,
     periodicity_check,
-    pole_order,
     pole_side_signs,
     pole_spec,
 )
@@ -45,7 +43,6 @@ from .zero_finder import (
     ZeroRecord,
     delta_exclusion,
     find_extrema,
-    scan_folds,
     scan_interval,
 )
 from .census import (
@@ -79,7 +76,6 @@ __all__ = [
     "bernoulli",
     "riemann_zeta",
     "riemann_zeta_alternating",
-    "riemann_zeta_grid",
     # multizeta
     "R_MAX",
     "closed_form",
@@ -94,7 +90,6 @@ __all__ = [
     "coefficient_numeric",
     "coefficient_recursive",
     "periodicity_check",
-    "pole_order",
     "pole_side_signs",
     "pole_spec",
     # zero_finder
@@ -105,7 +100,6 @@ __all__ = [
     "ZeroRecord",
     "delta_exclusion",
     "find_extrema",
-    "scan_folds",
     "scan_interval",
     # census
     "EULER_GAMMA",

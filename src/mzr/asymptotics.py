@@ -22,7 +22,6 @@ from .riemann_kernel import riemann_zeta
 __all__ = [
     "NUMERIC_R_MAX",
     "PoleSpec",
-    "pole_order",
     "pole_spec",
     "coefficient_closed_form",
     "coefficient_recursive",
@@ -44,12 +43,6 @@ _CONVERGENCE_REL = 1e-2
 def _check_rk(r: int, k: int) -> None:
     _check_int(r, "fold count", 1, R_MAX)
     _check_int(k, "pole index", 1, r)
-
-
-def pole_order(r: int, k: int) -> int:
-    """Order of the pole of the r-fold function at s = 1/k."""
-    _check_rk(r, k)
-    return r // k
 
 
 @dataclass(frozen=True)

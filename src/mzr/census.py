@@ -158,7 +158,7 @@ def census_report(r: int, empirical: Mapping[int, int]) -> CensusReport:
     """Assemble the per-interval comparison for fold count r.
 
     `empirical` must map every interval index k = 2..r (and nothing else)
-    to the scanned zero count.
+    to the scanned zero count, an int or numpy integer >= 0.
     """
     _check_int(r, "fold count", 2)
     expected_keys = set(range(2, r + 1))
@@ -170,13 +170,11 @@ def census_report(r: int, empirical: Mapping[int, int]) -> CensusReport:
             f"interval map must cover exactly k = 2..{r}; "
             f"missing {missing}, unexpected {extra}"
         )
+    counts = {k: int(n) if isinstance(n, np.integer) else n for k, n in empirical.items()}
+    for k, n in counts.items():
+        _check_int(n, f"zero count of interval {k}", 0)
     per_interval = tuple(
-        IntervalCount(
-            k=k,
-            empirical=int(empirical[k]),
-            conjectured=r // k,
-            agree=int(empirical[k]) == r // k,
-        )
+        IntervalCount(k=k, empirical=counts[k], conjectured=r // k, agree=counts[k] == r // k)
         for k in range(r, 1, -1)
     )
     empirical_total = sum(item.empirical for item in per_interval)

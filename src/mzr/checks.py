@@ -32,13 +32,7 @@ from .census import (
     iaz_predicted_range,
 )
 from .multizeta import closed_form, multizeta, multizeta_grid, truncated_euler_zagier
-from .riemann_kernel import (
-    _direct_terms,
-    _tail,
-    riemann_zeta,
-    riemann_zeta_alternating,
-    riemann_zeta_grid,
-)
+from .riemann_kernel import _direct_terms, _tail, riemann_zeta, riemann_zeta_alternating
 from .zero_finder import IntervalScan, _census_tasks, _interval_bounds, _scan_many
 
 _REFERENCE_CELLS = 4 * (4096 - 1)
@@ -62,7 +56,7 @@ class Check:
 
 def alternating_agreement() -> Check:
     grid = np.linspace(1.5, 40.0, 1000)
-    em = riemann_zeta_grid(grid)
+    em = multizeta_grid(1, grid)
     worst = 0.0
     for s, reference in zip(grid, em):
         alt = riemann_zeta_alternating(float(s))
@@ -85,14 +79,14 @@ def classical_values() -> Check:
 
 
 def negative_below_one() -> Check:
-    low = riemann_zeta_grid(np.linspace(0.0, 0.9999, 500))
+    low = multizeta_grid(1, np.linspace(0.0, 0.9999, 500))
     return Check(
         "negative on [0, 1)", np.all(low < 0.0), f"max value {float(low.max()):.3e}"
     )
 
 
 def decreasing_beyond_one() -> Check:
-    tail = riemann_zeta_grid(np.linspace(1.01, 40.0, 500))
+    tail = multizeta_grid(1, np.linspace(1.01, 40.0, 500))
     return Check(
         "strictly decreasing beyond 1",
         np.all(np.diff(tail) < 0.0),

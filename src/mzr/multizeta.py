@@ -138,14 +138,17 @@ def _newton(p, one=1.0) -> list:
 def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
     """Every fold zeta_0 .. zeta_r over a 1-d array of abscissas.
 
-    The points are validated once against the domain and the pole guards
-    of the r-fold function, which cover those of every lower fold; zeta(i*s)
-    for i = 1..r comes from one `_zeta_rows` call and the recursion runs
-    once; entry j is the j-fold function on the grid.  Above s = 1 the
-    recursion cancels (see `multizeta_grid`); scans stay below 1.
+    The one check of an abscissa array: its shape, and every point against
+    the domain and the pole guards of the r-fold function, which cover
+    those of every lower fold.  zeta(i*s) for i = 1..r comes from one
+    `_zeta_rows` call and the recursion runs once; entry j is the j-fold
+    function on the grid.  Above s = 1 the recursion cancels (see
+    `multizeta_grid`); scans stay below 1.
     """
     _check_int(r, "fold count", 1, R_MAX)
     s = np.asarray(s, dtype=float)
+    if s.ndim != 1:
+        raise DomainError(f"abscissas must form a 1-d array, got shape {s.shape}")
     if s.size == 0:
         return [np.empty(0, dtype=float) for _ in range(r + 1)]
     if not np.all(np.isfinite(s)):

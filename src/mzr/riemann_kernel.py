@@ -6,8 +6,9 @@ Two independent evaluators are provided on purpose:
   integral tail, the half-term, and Bernoulli-weighted corrections.  This
   is the production path.  On arrays, `_zeta_rows` evaluates zeta(i*s)
   for i = 1..r at once, with the term counts `riemann_zeta` would take
-  at each point; `riemann_zeta_grid` is its first row.  Its remainder
-  block, `_tail`, also gives `multizeta` its tail power sums above s = 1.
+  at each point: the rows of `multizeta`'s fold tables, whose first row
+  is `multizeta_grid(1, s)`.  Its remainder block, `_tail`, also gives
+  `multizeta` its tail power sums above s = 1.
 * `riemann_zeta_alternating` -- the alternating (eta) series with an
   Euler-transform acceleration of its tail.  Slower, kept as a structurally
   unrelated cross-check; the verify suite compares the two.
@@ -29,7 +30,6 @@ __all__ = [
     "POLE_GUARD_RADIUS",
     "bernoulli",
     "riemann_zeta",
-    "riemann_zeta_grid",
     "riemann_zeta_alternating",
 ]
 
@@ -121,27 +121,6 @@ def riemann_zeta(s: float) -> float:
         rising = s if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
         total += _CORRECTION_WEIGHT[j] * rising * n ** (-s - 2 * j + 1)
     return total
-
-
-def riemann_zeta_grid(s: np.ndarray) -> np.ndarray:
-    """Vectorised `riemann_zeta` over a 1-d array of abscissas.
-
-    Every point gets the term counts `riemann_zeta` would take for it, so
-    a value never depends on the other points of the array; values can
-    still differ from the scalar path by a few ulp, since the sums are
-    taken in another order.  Row 1 of `_zeta_rows`.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.size == 0:
-        return np.empty(0, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise DomainError("abscissas must be finite")
-    if float(s.min()) < 0.0:
-        raise DomainError("negative axis is out of scope")
-    near = np.abs(s - 1.0) < POLE_GUARD_RADIUS
-    if near.any():
-        raise PoleProximityError(k=1, order=1, s=float(s[near][0]))
-    return _zeta_rows(1, s)[0]
 
 
 def _zeta_rows(r: int, s: np.ndarray) -> np.ndarray:

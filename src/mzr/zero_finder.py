@@ -40,7 +40,6 @@ __all__ = [
     "IntervalScan",
     "delta_exclusion",
     "scan_interval",
-    "scan_folds",
     "find_extrema",
 ]
 
@@ -319,27 +318,20 @@ def _census_tasks(r_max: int) -> list[tuple[int, range]]:
     return [(k, range(k, r_max + 1)) for k in range(2, r_max + 1)]
 
 
-def scan_folds(k: int, r_values) -> dict[int, IntervalScan]:
-    """Locate and refine every zero in (1/k, 1/(k-1)) for each fold count
-    in r_values: the one-task case of a run's scan.
-
-    The folds up to max(r_values) are evaluated once, at the 128 and the
-    256 first-kind Chebyshev nodes of the interval.  Each fold count's
-    proxy, with its poles cancelled, is chopped at its coefficient
-    plateau, and its real roots inside the interval are the zero counts.
-    Each root x of the 256-node proxy gets one Newton step on the full
-    series and is a zero if F changes sign across x -+ 0.45e-12; zeros
-    come in ascending order.  The count is unstable unless both proxies
-    give it, both resolve, neither suspects a tangency and every root
-    passes its check.  Returns one IntervalScan per fold count, keyed by r.
-    """
-    return {r: scan for (r, _), scan in _scan_many([(k, r_values)]).items()}
-
-
 def scan_interval(r: int, k: int) -> IntervalScan:
     """Locate and refine every zero of the r-fold function in (1/k, 1/(k-1)):
-    the single-fold case of `scan_folds`."""
-    return scan_folds(k, [r])[r]
+    the one-task case of a run's scan.
+
+    The folds up to r are evaluated once, at the 128 and the 256
+    first-kind Chebyshev nodes of the interval.  The proxy, with its poles
+    cancelled, is chopped at its coefficient plateau, and its real roots
+    inside the interval are the zero counts.  Each root x of the 256-node
+    proxy gets one Newton step on the full series and is a zero if F
+    changes sign across x -+ 0.45e-12; zeros come in ascending order.  The
+    count is unstable unless both proxies give it, both resolve, neither
+    suspects a tangency and every root passes its check.
+    """
+    return _scan_many([(k, [r])])[(r, k)]
 
 
 def _extremum_series(c: np.ndarray, r: int, k: int) -> np.ndarray:
@@ -422,7 +414,7 @@ def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     two fold tables.
 
     They are the real roots, in the guarded interval, of the zeros'
-    Chebyshev proxy g (see `scan_folds`) turned into its exact derivative
+    Chebyshev proxy g (see `scan_interval`) turned into its exact derivative
     with the poles' share taken out: h = x (1 - x) g' - (m_a (1 - x) -
     m_b x) g, m_a = r // k, m_b = r // (k - 1), has the sign of F'.  Each
     root of the 256-node proxy gets one Newton step on h from the full

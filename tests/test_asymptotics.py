@@ -16,7 +16,6 @@ from mzr import (
     coefficient_recursive,
     multizeta,
     periodicity_check,
-    pole_order,
     pole_side_signs,
     pole_spec,
     riemann_zeta,
@@ -35,22 +34,22 @@ CONSTANT_SPOTS = {
 
 class TestPoleOrder:
     def test_printed_examples(self):
-        assert pole_order(4, 2) == 2
-        assert pole_order(6, 3) == 2
-        assert pole_order(6, 2) == 3
+        assert pole_spec(4, 2).order == 2
+        assert pole_spec(6, 3).order == 2
+        assert pole_spec(6, 2).order == 3
 
     def test_rightmost_pole_is_simple(self):
         for r in range(1, 13):
-            assert pole_order(r, r) == 1
+            assert pole_spec(r, r).order == 1
 
     def test_leftmost_pole_has_full_order(self):
         for r in range(1, 13):
-            assert pole_order(r, 1) == r
+            assert pole_spec(r, 1).order == r
 
     @pytest.mark.parametrize("r,k", [(4, 0), (4, 5), (0, 1), (33, 2)])
     def test_range_errors(self, r, k):
         with pytest.raises(ParameterRangeError):
-            pole_order(r, k)
+            pole_spec(r, k)
 
 
 class TestClosedFormConstants:
@@ -159,7 +158,7 @@ class TestPoleSpec:
             for k in range(1, r + 1):
                 spec = pole_spec(r, k)
                 assert spec.sign * spec.constant > 0.0
-                assert spec.order == pole_order(r, k)
+                assert spec.order == r // k
 
     def test_invalid_records_rejected(self):
         with pytest.raises(ParameterRangeError):

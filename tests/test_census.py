@@ -153,6 +153,21 @@ class TestCensusReport:
         with pytest.raises(IncompleteInputError):
             census_report(4, {4: 1, 3: 1, 2: 2, 7: 0})
 
+    @pytest.mark.parametrize(
+        "r,empirical",
+        [(3, {2: 1.9, 3: 1}), (3, {2: "1", 3: 1}), (4, {2: -2, 3: 1, 4: 1}), (3, {2: True, 3: 1})],
+        ids=["float", "string", "negative", "bool"],
+    )
+    def test_counts_must_be_non_negative_integers(self, r, empirical):
+        with pytest.raises(ParameterRangeError):
+            census_report(r, empirical)
+
+    def test_numpy_integer_counts_accepted(self):
+        report = census_report(3, {2: np.int64(1), 3: np.int32(1)})
+        assert report.all_agree
+        assert report.empirical_total == 2
+        assert type(report.per_interval[0].empirical) is int
+
     def test_identity_is_a_hard_invariant(self):
         with pytest.raises(ParameterRangeError):
             CensusReport(

@@ -1,5 +1,7 @@
-"""The README's library example runs as printed, and its list of the
-public surface names only what the package exports."""
+"""The README's library example runs as printed, its list of the public
+surface names only what the package exports, and the package exports
+exactly the public names of its modules."""
+import importlib
 import re
 from pathlib import Path
 
@@ -25,3 +27,15 @@ def test_library_surface_names_are_exported():
     names = re.findall(r"`([A-Za-z_]\w*)`", prose)
     assert len(names) > 30
     assert [name for name in names if name not in mzr.__all__] == []
+
+
+def test_package_exports_the_public_names_of_its_modules():
+    modules = ("errors", "riemann_kernel", "multizeta", "asymptotics", "zero_finder", "census")
+    homes = {}
+    for module in (importlib.import_module(f"mzr.{name}") for name in modules):
+        for name in module.__all__:
+            homes[name] = getattr(module, name)
+    assert sorted(mzr.__all__) == sorted(["__version__", *homes])
+    assert isinstance(mzr.__version__, str)
+    for name, value in homes.items():
+        assert getattr(mzr, name) is value, name

@@ -18,9 +18,9 @@ from mzr import (
     checks,
     bernoulli,
     multizeta,
+    multizeta_grid,
     riemann_zeta,
     riemann_zeta_alternating,
-    riemann_zeta_grid,
 )
 from mzr.riemann_kernel import _BLOCK, _direct_terms, _zeta_rows
 
@@ -97,7 +97,7 @@ class TestRoundsToOne:
         s = np.concatenate([np.geomspace(54.0, 1e308, 601), [2.6e13, 1.7e16, 1.7e308]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.all(riemann_zeta_grid(s) == 1.0)
+            assert np.all(multizeta_grid(1, s) == 1.0)
             assert np.all(_zeta_rows(3, s) == 1.0)
             for x in s.tolist():
                 assert riemann_zeta(x) == 1.0, x
@@ -108,7 +108,7 @@ class TestRoundsToOne:
         # does not, and must not be cut off.
         for x in (53.0, 53.5, np.nextafter(54.0, 0.0)):
             assert riemann_zeta(float(x)) == 1.0
-            assert riemann_zeta_grid([x])[0] == 1.0
+            assert multizeta_grid(1, [x])[0] == 1.0
         assert riemann_zeta(52.0) > 1.0
 
 
@@ -179,12 +179,9 @@ class TestConfiguration:
 class TestGridEvaluation:
     def test_matches_scalar_path(self):
         s = np.array([0.0, 0.3, 0.7, 1.5, 2.0, 8.25, 20.0])
-        grid = riemann_zeta_grid(s)
+        grid = multizeta_grid(1, s)
         for si, vi in zip(s, grid):
             assert float(vi) == pytest.approx(riemann_zeta(float(si)), rel=1e-12, abs=0)
-
-    def test_empty_input(self):
-        assert riemann_zeta_grid(np.empty(0)).size == 0
 
     def test_rows_against_mpmath(self):
         # Rows i = 1..16 of the fold-table kernel, on (0, 1) and at
@@ -212,7 +209,7 @@ class TestGridEvaluation:
         b = _BLOCK // 12
         for j in (0, 1, 1000, b - 1, b, b + 1, 4 * b - 1, 4 * b, 4499):
             np.testing.assert_array_equal(_zeta_rows(12, s[j : j + 1])[:, 0], values[:, j])
-        np.testing.assert_array_equal(riemann_zeta_grid(s), values[0])
+        np.testing.assert_array_equal(multizeta_grid(1, s), values[0])
 
     @pytest.mark.parametrize("r", [1, 16, 32])
     def test_concatenation_keeps_the_rows_of_its_pieces(self, r):
@@ -227,11 +224,3 @@ class TestGridEvaluation:
             np.testing.assert_array_equal(rows[:, lo : lo + piece.size], _zeta_rows(r, piece))
             lo += piece.size
         assert lo == rows.shape[1]
-
-    def test_grid_domain_errors(self):
-        with pytest.raises(DomainError):
-            riemann_zeta_grid(np.array([0.5, -0.1]))
-        with pytest.raises(DomainError):
-            riemann_zeta_grid(np.array([0.5, math.nan]))
-        with pytest.raises(PoleProximityError):
-            riemann_zeta_grid(np.array([0.5, 1.0, 2.0]))

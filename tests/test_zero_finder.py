@@ -22,7 +22,6 @@ from mzr import (
     delta_exclusion,
     find_extrema,
     multizeta,
-    scan_folds,
     scan_interval,
 )
 from mzr.cli import main
@@ -158,7 +157,7 @@ class TestRefineRoots:
         # change.
         tasks = [(k, range(k, SCAN_R_MAX + 1)) for k in range(2, SCAN_R_MAX + 1)]
         batch = zero_finder._refine_scans(zero_finder._scan_grid(tasks))
-        single = [scan for k, r_values in tasks for scan in scan_folds(k, r_values).values()]
+        single = [scan for task in tasks for scan in zero_finder._scan_many([task]).values()]
         assert batch == single
         records = [zero for scan in batch for zero in scan.zeros]
         assert len(records) == 228
@@ -223,14 +222,17 @@ class TestScanInterval:
 
 
 class TestScanFolds:
+    """A run's scan, `_scan_many`: every fold count of each interval from
+    shared fold tables."""
+
     @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
     def test_shared_scan_equals_single_scans(self, k):
         # Up to r = 16 the rows i*s pass 10, where each point takes its own
         # zeta term counts; counts shared by the array would leak between
         # the fold counts and the roots of a batch.
-        scans = scan_folds(k, range(k, SCAN_R_MAX + 1))
-        assert sorted(scans) == list(range(k, SCAN_R_MAX + 1))
-        for r, scan in scans.items():
+        scans = zero_finder._scan_many([(k, range(k, SCAN_R_MAX + 1))])
+        assert list(scans) == [(r, k) for r in range(k, SCAN_R_MAX + 1)]
+        for (r, _), scan in scans.items():
             assert scan == scan_interval(r, k), (r, k)
 
     def test_a_run_makes_two_fold_tables(self, capsys, monkeypatch):
@@ -276,12 +278,9 @@ class TestScanFolds:
         assert run["intervals"] == single["intervals"]
 
     def test_validation(self):
-        with pytest.raises(ParameterRangeError):
-            scan_folds(3, [])
-        with pytest.raises(ParameterRangeError):
-            scan_folds(3, [3, 2])
-        with pytest.raises(ParameterRangeError):
-            scan_folds(3, [3, SCAN_R_MAX + 1])
+        for r_values in ([], [3, 2], [3, SCAN_R_MAX + 1]):
+            with pytest.raises(ParameterRangeError):
+                zero_finder._scan_many([(3, r_values)])
 
 
 ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json"
