@@ -183,6 +183,9 @@ class TestGridEvaluation:
         for si, vi in zip(s, grid):
             assert float(vi) == pytest.approx(riemann_zeta(float(si)), rel=1e-12, abs=0)
 
+    def test_empty_input(self):
+        assert multizeta_grid(1, np.empty(0)).size == 0
+
     def test_rows_against_mpmath(self):
         # Rows i = 1..16 of the fold-table kernel, on (0, 1) and at
         # 3e-8 on either side of every 1/i, where row i sits next to the
@@ -224,3 +227,11 @@ class TestGridEvaluation:
             np.testing.assert_array_equal(rows[:, lo : lo + piece.size], _zeta_rows(r, piece))
             lo += piece.size
         assert lo == rows.shape[1]
+
+    def test_grid_domain_errors(self):
+        with pytest.raises(DomainError):
+            multizeta_grid(1, np.array([0.5, -0.1]))
+        with pytest.raises(DomainError):
+            multizeta_grid(1, np.array([0.5, math.nan]))
+        with pytest.raises(PoleProximityError):
+            multizeta_grid(1, np.array([0.5, 1.0, 2.0]))
