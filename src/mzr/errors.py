@@ -6,6 +6,8 @@ catch broadly, while the CLI maps the specific classes onto exit codes.
 """
 from __future__ import annotations
 
+from numbers import Integral
+
 __all__ = [
     "DomainError",
     "ParameterRangeError",
@@ -54,8 +56,8 @@ class NonConvergenceError(ArithmeticError):
 
 def _check_int(value, what: str, lo: int, hi: int | None = None) -> None:
     """Raise ParameterRangeError, its message led by `what`, unless value
-    is an int (a bool is not) in [lo, hi], or at least lo without hi."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    is an integer (numpy's too, not a bool) in [lo, hi], or >= lo without hi."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
         if lo <= value and (hi is None or value <= hi):
             return
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"

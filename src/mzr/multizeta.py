@@ -6,7 +6,7 @@ to the positive real line through the Newton-identity recursion
     j * zeta_j(s) = sum_{i=1}^{j} (-1)^(i-1) zeta_{j-i}(s) zeta(i*s),
 
 seeded with zeta_0 = 1.  For s <= 1 (and for r = 1) a scalar evaluation
-runs it on r Riemann-zeta calls.  Above s = 1 the recursion would cancel
+runs it on one kernel pass.  Above s = 1 the recursion would cancel
 O(1) terms down to values near (r!)^(-s), so there the sum is split at
 N = r + 8 instead: zeta_r(s) = sum_j e_{r-j}(head) e_j(tail), with the
 head's elementary symmetric functions of m^(-s), m < N, from the
@@ -29,7 +29,7 @@ from .errors import (
     PoleProximityError,
     _check_int,
 )
-from .riemann_kernel import POLE_GUARD_RADIUS, _tail, _zeta_rows, riemann_zeta
+from .riemann_kernel import POLE_GUARD_RADIUS, _tail, _zeta_multiples, _zeta_rows
 
 __all__ = [
     "R_MAX",
@@ -86,8 +86,7 @@ def multizeta(r: int, s: float) -> float:
     _check_abscissa(r, s)
     if s > 1.0 and r > 1:
         return _split(r, s)
-    # zeta(i*s) for i = 1..r, computed once per call (kept local for purity).
-    return _newton([riemann_zeta(i * s) for i in range(1, r + 1)])[r]
+    return _newton(_zeta_multiples(s, r))[r]
 
 
 def _split(r: int, s: float) -> float:
@@ -192,14 +191,14 @@ def closed_form(r: int, s: float) -> float:
     _check_int(r, "closed forms exist here only for r in {2,3,4}: r", 2, 4)
     s = float(s)
     _check_abscissa(r, s)
-    z1 = riemann_zeta(s)
-    z2 = riemann_zeta(2 * s)
+    z = _zeta_multiples(s, r)  # r rows: at (2, 0.25) a fourth would be zeta(1)
+    z1, z2 = z[0], z[1]
     if r == 2:
         return (z1 * z1 - z2) / 2.0
-    z3 = riemann_zeta(3 * s)
+    z3 = z[2]
     if r == 3:
         return (z1 ** 3 - 3.0 * z1 * z2 + 2.0 * z3) / 6.0
-    z4 = riemann_zeta(4 * s)
+    z4 = z[3]
     return (z1 ** 4 - 6.0 * z1 * z1 * z2 + 3.0 * z2 * z2 + 8.0 * z1 * z3 - 6.0 * z4) / 24.0
 
 

@@ -4,10 +4,12 @@ Two independent evaluators are provided on purpose:
 
 * `riemann_zeta` -- Euler-Maclaurin summation: a direct partial sum, the
   integral tail, the half-term, and Bernoulli-weighted corrections.  This
-  is the production path.  On arrays, `_zeta_rows` evaluates zeta(i*s)
-  for i = 1..r at once, with the term counts `riemann_zeta` would take
-  at each point: the rows of `multizeta`'s fold tables, whose first row
-  is `multizeta_grid(1, s)`.  Its remainder block, `_tail`, also gives
+  is the production path.  Its one body, `_zeta_multiples`, sums zeta(i*s)
+  for i = 1..r at one abscissa in one vectorised pass: `riemann_zeta` is
+  its first row, and a scalar `multizeta` below s = 1 takes all r.  On
+  arrays, `_zeta_rows` evaluates zeta(i*s) with the same term counts at
+  each point: the rows of `multizeta`'s fold tables, whose first row is
+  `multizeta_grid(1, s)`.  Its remainder block, `_tail`, also gives
   `multizeta` its tail power sums above s = 1.
 * `riemann_zeta_alternating` -- the alternating (eta) series with an
   Euler-transform acceleration of its tail.  Slower, kept as a structurally
@@ -19,6 +21,7 @@ arithmetic and reduced to floats only at the use site.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -109,18 +112,50 @@ def riemann_zeta(s: float) -> float:
     """
     s = float(s)
     _check_domain(s)
-    if s > _ROUNDS_TO_ONE:
-        s = _ROUNDS_TO_ONE
-    n = _direct_terms(s)
-    total = float((np.arange(1, n, dtype=float) ** (-s)).sum())
-    total += n ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * n ** (-s)
-    rising = 1.0
-    for j in range(1, _CORRECTION_TERMS + 1):
-        # rising = s (s+1) ... (s + 2j - 2), built incrementally
-        rising = s if j == 1 else rising * (s + 2 * j - 3) * (s + 2 * j - 2)
-        total += _CORRECTION_WEIGHT[j] * rising * n ** (-s - 2 * j + 1)
-    return total
+    return _zeta_multiples(s, 1)[0]
+
+
+# Columns of `_zeta_multiples`'s step table (sigma + offset) - shift:
+# sigma - 1, sigma and (sigma + 2j) - 1, the negated exponents of n (as
+# -s - 2j + 1 = -((s + 2j) - 1) in every rounding), then the factors
+# sigma, (sigma + 2j) - 3 and (sigma + 2j) - 2 of the rising products.
+_POWERS = _CORRECTION_TERMS + 2
+_TWO_J = [2.0 * j for j in range(1, _CORRECTION_TERMS + 1)]
+_OFFSET = np.array([0.0, 0.0, *_TWO_J, 0.0, *np.repeat(_TWO_J[1:], 2)])
+_SHIFT = np.array([1.0, 0.0, *[1.0] * _CORRECTION_TERMS, 0.0, *[3.0, 2.0] * (_CORRECTION_TERMS - 1)])
+_WEIGHTS = np.array(_CORRECTION_WEIGHT[1:_CORRECTION_TERMS + 1])
+
+
+def _zeta_multiples(s: float, r: int) -> list[float]:
+    """zeta(i*s) for i = 1..r, as floats, at one abscissa s >= 0 whose
+    multiples all lie off the pole.
+
+    Row i is the Euler-Maclaurin sum at sigma = min(i*s, 54) with
+    `_direct_terms(sigma)` terms, vectorised over i but rounded step for
+    step as the sum at that sigma alone: numpy's pairwise direct sum, then
+    the integral term, the half term and the corrections added left to
+    right, every power of n from libm's pow (numpy's may differ in the
+    last bit)."""
+    # min(i*s, 54), without overflowing i*s first.
+    sigma = np.minimum(np.arange(1, r + 1) * min(s, _ROUNDS_TO_ONE), _ROUNDS_TO_ONE)
+    n = _direct_terms(sigma, np.ceil, np.maximum, np.minimum)
+    cols = np.empty((r, _POWERS + 1))
+    # n never decreases with i: each run of equal n is reduced over its own
+    # n - 1 terms, since padding would move numpy's pairwise blocks.
+    terms = np.arange(1.0, n[-1]) ** -sigma[:, None]
+    ends = n.tolist()
+    for end in dict.fromkeys(ends):
+        run = slice(ends.index(end), bisect_right(ends, end))
+        cols[run, 0] = np.add.reduce(terms[run, :int(end) - 1], axis=1)
+    steps = (sigma[:, None] + _OFFSET) - _SHIFT
+    pows = map(math.pow, np.repeat(n, _POWERS).tolist(), (-steps[:, :_POWERS]).ravel().tolist())
+    powers = np.fromiter(pows, float, r * _POWERS).reshape(r, _POWERS)
+    rising = np.multiply.accumulate(steps[:, _POWERS:], axis=1)[:, ::2]
+    cols[:, 1] = powers[:, 0] / steps[:, 0]
+    cols[:, 2] = 0.5 * powers[:, 1]
+    cols[:, 3:] = (_WEIGHTS * rising) * powers[:, 2:]
+    # accumulate adds left to right; reduce would pair the terms.
+    return np.add.accumulate(cols, axis=1)[:, -1].tolist()
 
 
 def _zeta_rows(r: int, s: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ closed form, by the order-preserving recursion, and by pure numerical
 limit extraction, plus the sign and periodicity laws they obey."""
 import math
 
+import numpy as np
 import pytest
 
 from mzr import (
@@ -48,6 +49,15 @@ class TestPoleOrder:
 
     @pytest.mark.parametrize("r,k", [(4, 0), (4, 5), (0, 1), (33, 2)])
     def test_range_errors(self, r, k):
+        with pytest.raises(ParameterRangeError):
+            pole_spec(r, k)
+
+    def test_numpy_integers(self):
+        assert pole_spec(np.int64(4), 2) == pole_spec(4, 2)
+        assert pole_spec(np.int32(6), np.int64(3)).order == 2
+
+    @pytest.mark.parametrize("r,k", [(True, 1), (np.True_, 1), (4, True), (4, np.True_)])
+    def test_bools_are_not_integers(self, r, k):
         with pytest.raises(ParameterRangeError):
             pole_spec(r, k)
 

@@ -2,10 +2,12 @@
 the r = 2..4 closed forms, the truncated-sum oracle on the absolutely
 convergent region, and the finite Newton identities and product
 expansion."""
+import importlib
 import itertools
 import math
 import random
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +30,9 @@ from mzr import (
 )
 from mzr import riemann_kernel
 from mzr.multizeta import _fold_table, _newton, _product_expansion
-from mzr.riemann_kernel import _direct_terms, _tail, _zeta_rows, bernoulli
+from mzr.riemann_kernel import _direct_terms, _tail, _zeta_multiples, _zeta_rows, bernoulli
+
+multizeta_module = importlib.import_module("mzr.multizeta")
 
 # Frozen values from a 40-digit independent evaluation: (r, s) -> value.
 MULTIZETA_SPOTS = {
@@ -168,8 +172,10 @@ def _mp_fold(mpmath, r, s, keep=30):
 
 
 def _reference_zeta(s):
-    """The scalar Euler-Maclaurin path in its plainest form: 12
-    corrections, np.sum over np.arange, the rising-factorial loop."""
+    """The scalar Euler-Maclaurin path in its plainest form, the one-abscissa
+    loop the vectorised kernel replaced: the clamp at 54, 12 corrections,
+    np.sum over np.arange, the rising-factorial loop."""
+    s = min(s, 54.0)
     n, m = _direct_terms(s), 12
     total = float(np.sum(np.arange(1, n, dtype=float) ** (-s)))
     total += n ** (1.0 - s) / (s - 1.0)
@@ -228,6 +234,24 @@ class TestBitIdentity:
                 p = [_reference_zeta(i * s) for i in range(1, r + 1)]
                 assert multizeta(r, s) == _reference_newton(p)[r], (r, s)
 
+    def test_zeta_multiples_are_the_scalar_loop_row_by_row(self):
+        # Every r up to R_MAX on a grid of [0, 1]; at a pole 1/k of the
+        # r-fold function the larger r are skipped.
+        for s in np.linspace(0.0, 1.0, 201).tolist():
+            want = []
+            for r in range(1, R_MAX + 1):
+                if nearest_pole(r, s) is not None:
+                    break
+                want.append(_reference_zeta(r * s))
+                assert _zeta_multiples(s, r) == want, (r, s)
+
+    def test_single_row_across_the_clamp(self):
+        # r = 1 on [0, 100], past the clamp at 54, is riemann_zeta itself.
+        for s in np.linspace(0.0, 100.0, 2001).tolist():
+            if s != 1.0:
+                assert _zeta_multiples(s, 1) == [_reference_zeta(s)], s
+                assert riemann_zeta(s) == _reference_zeta(s), s
+
     @pytest.mark.parametrize("r", [2, 16, 32])
     def test_rows_keep_the_in_place_remainder(self, r, monkeypatch):
         # Moving the remainder out of the grid kernel kept every bit.
@@ -253,6 +277,59 @@ class TestBitIdentity:
         x = x[[nearest_pole(r, float(v)) is None for v in x]]
         want = _reference_newton(_zeta_rows(r, x), np.ones_like(x))[r]
         assert np.array_equal(_fold_table(r, x)[r], want)
+
+
+class TestKernelCalls:
+    """A scalar value below s = 1 (or at r = 1) takes every zeta(i*s) from
+    one vectorised kernel call."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        def forbidden(s):
+            raise AssertionError(f"riemann_zeta({s!r}) called")
+
+        def counted(s, r):
+            calls.append((s, r))
+            return _zeta_multiples(s, r)
+
+        calls = []
+        for module in (riemann_kernel, multizeta_module):
+            monkeypatch.setattr(module, "riemann_zeta", forbidden, raising=False)
+        monkeypatch.setattr(multizeta_module, "_zeta_multiples", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "r,s", [(1, 0.5), (1, 3.0), (2, 0.3), (7, 0.6), (16, 0.7), (32, 0.686), (32, 0.0)]
+    )
+    def test_one_call_per_value(self, kernel_calls, r, s):
+        multizeta(r, s)
+        assert kernel_calls == [(s, r)]
+
+    def test_split_makes_none(self, kernel_calls):
+        multizeta(16, 2.0)
+        assert kernel_calls == []
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_closed_form_asks_for_r_rows(self, kernel_calls, r):
+        # Four rows at s = 0.25 would evaluate zeta(1).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed_form(r, 0.25)
+        assert kernel_calls == [(0.25, r)]
+
+
+class TestIntegerParameters:
+    def test_numpy_integers_are_fold_counts(self):
+        assert multizeta(np.int64(3), 0.6) == multizeta(3, 0.6)
+        assert multizeta(np.int32(16), 2.0) == multizeta(16, 2.0)
+        assert np.array_equal(multizeta_grid(np.int64(2), [0.3]), multizeta_grid(2, [0.3]))
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 3.0, np.float64(3.0)])
+    def test_bools_and_floats_are_not(self, bad):
+        with pytest.raises(ParameterRangeError):
+            multizeta(bad, 0.6)
+        with pytest.raises(ParameterRangeError):
+            multizeta_grid(bad, [0.3])
 
 
 class TestPoleGuard:
