@@ -40,9 +40,8 @@ _RICHARDSON_DEPTH = 6
 _CONVERGENCE_REL = 1e-2
 
 
-def _check_rk(r: int, k: int) -> None:
-    _check_int(r, "fold count", 1, R_MAX)
-    _check_int(k, "pole index", 1, r)
+def _check_rk(r: int, k: int) -> tuple[int, int]:
+    return _check_int(r, "fold count", 1, R_MAX), _check_int(k, "pole index", 1, r)
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ def coefficient_closed_form(r: int, k: int) -> float:
       1 <= l < k   ->  the l = 0 value times the l-fold function at 1/k
     (for q = 1 the last case is ((-1)^(k-1)/k) times the (r-k)-fold value).
     """
-    _check_rk(r, k)
+    r, k = _check_rk(r, k)
     if k == 1:
         return 1.0 / math.factorial(r)
     q, ell = divmod(r, k)
@@ -97,7 +96,7 @@ def coefficient_recursive(r: int, k: int) -> float:
     floor(r/k), and D is C_{r-k}(k) when k <= r/2, the (r-k)-fold value at
     1/k when r/2 < k < r, and 1 when k = r.
     """
-    _check_rk(r, k)
+    r, k = _check_rk(r, k)
     zeta_cache: dict[int, float] = {}
 
     def zeta_at(j: int) -> float:
@@ -140,7 +139,7 @@ def coefficient_numeric(r: int, k: int) -> float:
     NonConvergenceError when the last two extrapolants differ by more than
     1e-2 relative, rather than returning a doubtful number.
     """
-    _check_rk(r, k)
+    r, k = _check_rk(r, k)
     if r > NUMERIC_R_MAX:
         raise ParameterRangeError(
             f"numeric extraction supports fold counts up to {NUMERIC_R_MAX}, got {r}"
@@ -173,7 +172,7 @@ def coefficient_numeric(r: int, k: int) -> float:
 
 def pole_spec(r: int, k: int) -> PoleSpec:
     """Assemble the full record for the pole of the r-fold function at 1/k."""
-    _check_rk(r, k)
+    r, k = _check_rk(r, k)
     order = r // k
     constant = coefficient_closed_form(r, k)
     sign = (-1) ** (r + order)
@@ -190,8 +189,8 @@ def periodicity_check(k: int, q_max: int) -> bool:
 
     to relative 1e-12.  Returns whether every ratio passes.
     """
-    _check_int(k, "modulus", 2)
-    _check_int(q_max, "need at least two repetitions to compare: q_max", 2)
+    k = _check_int(k, "modulus", 2)
+    q_max = _check_int(q_max, "need at least two repetitions to compare: q_max", 2)
     if k * (q_max + 1) - 1 > R_MAX:
         raise ParameterRangeError(
             f"k*(q_max+1)-1 = {k * (q_max + 1) - 1} exceeds the fold cap {R_MAX}"
@@ -212,7 +211,7 @@ def pole_side_signs(r: int, k: int, eps: float = 1e-4) -> tuple[int, int]:
 
     For an even-order pole both signs match; for odd order they differ.
     """
-    _check_rk(r, k)
+    r, k = _check_rk(r, k)
     if not 0.0 < eps < 1e-3:
         raise ParameterRangeError("side step must lie in (0, 1e-3)")
     left = multizeta(r, 1.0 / k - eps)

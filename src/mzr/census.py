@@ -38,7 +38,7 @@ EULER_GAMMA = 0.5772156649015329
 
 def divisor_count(n: int) -> int:
     """Number of positive divisors of n, by trial division up to sqrt(n)."""
-    _check_int(n, "argument", 1)
+    n = _check_int(n, "argument", 1)
     count = 0
     root = math.isqrt(n)
     for i in range(1, root + 1):
@@ -51,7 +51,7 @@ def divisor_count(n: int) -> int:
 
 def iaz_predicted(r: int) -> int:
     """Conjectured total zero count F(r) = sum_{k=2}^{r} floor(r/k)."""
-    _check_int(r, "fold count", 1)
+    r = _check_int(r, "fold count", 1)
     if r == 1:
         return 0
     return int(np.sum(r // np.arange(2, r + 1)))
@@ -68,7 +68,7 @@ def iaz_predicted_range(r_max: int) -> np.ndarray:
     from the divisor function, so the identity tests compare independent
     paths.
     """
-    _check_int(r_max, "upper bound", 1)
+    r_max = _check_int(r_max, "upper bound", 1)
     r = np.arange(r_max + 1, dtype=np.int64)
     out = -r
     for k in range(1, math.isqrt(r_max) + 1):
@@ -92,27 +92,27 @@ def _divisor_total(r: int) -> int:
 
 def divisor_identity_check(r: int) -> bool:
     """Exact check of F(r) = (sum_{l<=r} d(l)) - r."""
-    _check_int(r, "fold count", 1)
+    r = _check_int(r, "fold count", 1)
     return iaz_predicted(r) == _divisor_total(r) - r
 
 
 def iaz_asymptotic(r: int) -> float:
     """Leading asymptotic of the total count: r ln r - 2 (1 - gamma) r."""
-    _check_int(r, "fold count", 2)
+    r = _check_int(r, "fold count", 2)
     return r * math.log(r) - 2.0 * (1.0 - EULER_GAMMA) * r
 
 
 def delta_F(r: int) -> int:
     """Increment of the conjectured count: F(r) - F(r-1) = d(r) - 1,
     evaluated through the divisor function."""
-    _check_int(r, "fold count", 2)
+    r = _check_int(r, "fold count", 2)
     return divisor_count(r) - 1
 
 
 def delta_F_direct(r: int) -> int:
     """The same increment evaluated directly as F(r) - F(r-1); kept as an
     independent cross-check of `delta_F`."""
-    _check_int(r, "fold count", 2)
+    r = _check_int(r, "fold count", 2)
     return iaz_predicted(r) - iaz_predicted(r - 1)
 
 
@@ -160,7 +160,7 @@ def census_report(r: int, empirical: Mapping[int, int]) -> CensusReport:
     `empirical` must map every interval index k = 2..r (and nothing else)
     to the scanned zero count, an int or numpy integer >= 0.
     """
-    _check_int(r, "fold count", 2)
+    r = _check_int(r, "fold count", 2)
     expected_keys = set(range(2, r + 1))
     keys = set(empirical.keys())
     if keys != expected_keys:
@@ -170,9 +170,7 @@ def census_report(r: int, empirical: Mapping[int, int]) -> CensusReport:
             f"interval map must cover exactly k = 2..{r}; "
             f"missing {missing}, unexpected {extra}"
         )
-    counts = {k: int(n) if isinstance(n, np.integer) else n for k, n in empirical.items()}
-    for k, n in counts.items():
-        _check_int(n, f"zero count of interval {k}", 0)
+    counts = {k: _check_int(n, f"zero count of interval {k}", 0) for k, n in empirical.items()}
     per_interval = tuple(
         IntervalCount(k=k, empirical=counts[k], conjectured=r // k, agree=counts[k] == r // k)
         for k in range(r, 1, -1)

@@ -63,8 +63,8 @@ class PlotSeries:
 def build_plot_series(r: int, s_from: float, s_to: float, points: int) -> PlotSeries:
     """Sample the r-fold function uniformly on [s_from, s_to], skipping a
     guard gap of half-width delta_exclusion(k) around every pole 1/k."""
-    _check_int(r, "fold count", 1, R_MAX)
-    _check_int(points, "need at least 2 sample points: points", 2)
+    r = _check_int(r, "fold count", 1, R_MAX)
+    points = _check_int(points, "need at least 2 sample points: points", 2)
     s_from, s_to = float(s_from), float(s_to)
     if not 0.0 < s_from < s_to:
         raise DomainError(
@@ -118,8 +118,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_zeros(args) -> int:
-    r = args.r
-    _check_int(r, "fold count", 1, SCAN_R_MAX)
+    r = _check_int(args.r, "fold count", 1, SCAN_R_MAX)
     ks = [args.k] if args.k is not None else list(range(r, 1, -1))
     if args.k is not None and not 2 <= args.k <= r:
         raise ParameterRangeError(f"interval index {args.k} outside [2, {r}]")
@@ -144,8 +143,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_extrema(args) -> int:
-    r = args.r
-    _check_int(r, "fold count", 1, SCAN_R_MAX)
+    r = _check_int(args.r, "fold count", 1, SCAN_R_MAX)
     found = _extrema([(k, [r]) for k in range(r, 1, -1)])
     records = [dataclasses.asdict(rec) for recs in found.values() for rec in recs]
     _print_json({"r": r, "extrema": records})
@@ -153,8 +151,7 @@ def _cmd_extrema(args) -> int:
 
 
 def _cmd_poles(args) -> int:
-    r = args.r
-    _check_int(r, "fold count", 1, R_MAX)
+    r = _check_int(args.r, "fold count", 1, R_MAX)
     poles = []
     for k in range(r, 0, -1):
         spec = pole_spec(r, k)

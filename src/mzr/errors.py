@@ -54,11 +54,12 @@ class NonConvergenceError(ArithmeticError):
         super().__init__(message)
 
 
-def _check_int(value, what: str, lo: int, hi: int | None = None) -> None:
-    """Raise ParameterRangeError, its message led by `what`, unless value
-    is an integer (numpy's too, not a bool) in [lo, hi], or >= lo without hi."""
+def _check_int(value, what: str, lo: int, hi: int | None = None) -> int:
+    """value as a Python int if it is an integer (numpy's too, not a bool)
+    in [lo, hi], or >= lo without hi; otherwise raise ParameterRangeError,
+    its message led by `what`."""
     if isinstance(value, Integral) and not isinstance(value, bool):
         if lo <= value and (hi is None or value <= hi):
-            return
+            return int(value)
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
     raise ParameterRangeError(f"{what} must be an integer {bound}, got {value!r}")

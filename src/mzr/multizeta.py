@@ -81,7 +81,7 @@ def multizeta(r: int, s: float) -> float:
     Raises PoleProximityError (naming k and the pole order) within the
     guard radius of any 1/k, k <= r.
     """
-    _check_int(r, "fold count", 1, R_MAX)
+    r = _check_int(r, "fold count", 1, R_MAX)
     s = float(s)
     _check_abscissa(r, s)
     if s > 1.0 and r > 1:
@@ -144,7 +144,7 @@ def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
     function on the grid.  Above s = 1 the recursion cancels (see
     `multizeta_grid`); scans stay below 1.
     """
-    _check_int(r, "fold count", 1, R_MAX)
+    r = _check_int(r, "fold count", 1, R_MAX)
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
         raise DomainError(f"abscissas must form a 1-d array, got shape {s.shape}")
@@ -188,7 +188,7 @@ def closed_form(r: int, s: float) -> float:
 
     Independent of the recursion; the two must agree to rounding error.
     """
-    _check_int(r, "closed forms exist here only for r in {2,3,4}: r", 2, 4)
+    r = _check_int(r, "closed forms exist here only for r in {2,3,4}: r", 2, 4)
     s = float(s)
     _check_abscissa(r, s)
     z = _zeta_multiples(s, r)  # r rows: at (2, 0.25) a fourth would be zeta(1)
@@ -212,8 +212,8 @@ def truncated_euler_zagier(r: int, s: float, n: int) -> float:
     outside absolute convergence the truncation does not approximate the
     continued function, so it refuses rather than misleads.
     """
-    _check_int(r, "fold count", 1, R_MAX)
-    _check_int(n, "term count", 1)
+    r = _check_int(r, "fold count", 1, R_MAX)
+    n = _check_int(n, "term count", 1)
     if n < r:
         raise EmptySumError(
             f"no increasing {r}-tuple fits inside [1, {n}]"

@@ -67,7 +67,7 @@ _CORRECTION_WEIGHT = tuple(
 
 def bernoulli(n: int) -> Fraction:
     """Return B_n as an exact rational, for 0 <= n <= 2*M_MAX."""
-    _check_int(n, "index", 0, 2 * M_MAX)
+    n = _check_int(n, "index", 0, 2 * M_MAX)
     return _TABLE[n]
 
 

@@ -16,6 +16,13 @@ is |F| at the root.  A count that differs between the two proxies, an
 unresolved proxy, a near-real root pair (a possible even-order zero) or
 a root that fails its check is flagged instead of trusted.
 
+The proxy-root stage works on a run at once, not interval by interval:
+one DCT per node count over the stacked proxies, one eigenvalue call per
+colleague-matrix size, and, for a run with many roots, one Newton step
+down the columns of all its series.  Each step gives every proxy the
+bits it would get alone, so a record does not depend on the run it
+belongs to.
+
 Extrema are the roots of the same proxy's exact derivative, found by the
 same root stage and polished by the same Newton step; like a run's
 zeros, a run's extrema come from two fold tables, the proxy nodes and the
@@ -58,6 +65,12 @@ _PROXY_NODES = 128
 _CHOP = 1e-10
 _TANGENCY_GAP = 1e-3
 
+# Root count of a run from which its Newton step runs down columns
+# (`_newton_columns`) instead of root by root: measured on 2 CPUs with
+# numpy 2.4, the columns cost about 2.5 ms per run and a root alone about
+# 85 us on the 256-coefficient series.
+_COLUMN_ROOTS = 28
+
 
 def delta_exclusion(k: int) -> float:
     """Half-width of the guard gap kept around the asymptote at 1/k.
@@ -65,7 +78,7 @@ def delta_exclusion(k: int) -> float:
     Proportional to the width of the interval just above 1/k (for k = 1,
     the interval just below 1 is used), floored at 1e-6.
     """
-    _check_int(k, "asymptote index", 1)
+    k = _check_int(k, "asymptote index", 1)
     width = 1.0 / (k - 1) - 1.0 / k if k >= 2 else 0.5
     return max(1e-4 * width, 1e-6)
 
@@ -152,9 +165,9 @@ class IntervalScan:
         return len(self.zeros)
 
 
-def _check_interval(r: int, k: int) -> None:
-    _check_int(r, "fold count", 2, SCAN_R_MAX)
-    _check_int(k, "interval index", 2, r)
+def _check_interval(r: int, k: int) -> tuple[int, int]:
+    r = _check_int(r, "fold count", 2, SCAN_R_MAX)
+    return r, _check_int(k, "interval index", 2, r)
 
 
 def _interval_bounds(k: int) -> tuple[float, float]:
@@ -186,30 +199,63 @@ def _proxy_nodes(k: int, n: int) -> np.ndarray:
     return 1.0 / k + 0.5 * (1.0 / (k - 1) - 1.0 / k) * (1.0 + t)
 
 
-def _proxy_series(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The Chebyshev series of the interpolant of values at the first-kind
-    nodes, the same series chopped where its coefficients fall below _CHOP
-    of the largest, and whether it is resolved: the chop keeps at most
-    half of it."""
+def _proxy_series(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[bool]]:
+    """For each row of values at the first-kind nodes: the Chebyshev series
+    of its interpolant (one row each), the same series chopped where its
+    coefficients fall below _CHOP of the largest, and whether it is
+    resolved: the chop keeps at most half of it."""
     # The coefficients are a DCT-II of the values: an FFT of their even
-    # extension, turned by a quarter-sample phase.
-    n = values.size
+    # extension, turned by a quarter-sample phase.  One FFT serves every
+    # row; each row gets the bits it would get alone.
+    n = values.shape[1]
     twiddle = np.exp(-0.5j * np.pi / n * np.arange(n))
-    c = (np.fft.rfft(np.concatenate([values, values[::-1]]))[:n] * twiddle).real / n
-    c[0] *= 0.5
+    extended = np.concatenate([values, values[:, ::-1]], axis=1)
+    c = (np.fft.rfft(extended)[:, :n] * twiddle).real / n
+    c[:, 0] *= 0.5
     size = np.abs(c)
-    length = 1 + int(np.flatnonzero(size > _CHOP * size.max()).max(initial=0))
-    return c, c[:length], length <= n // 2
+    kept = size > _CHOP * size.max(axis=1, keepdims=True)
+    lengths = np.where(kept.any(axis=1), n - np.argmax(kept[:, ::-1], axis=1), 1).tolist()
+    return c, [row[:length] for row, length in zip(c, lengths)], [m <= n // 2 for m in lengths]
 
 
-def _series_roots(c: np.ndarray, x_lo: float, x_hi: float) -> tuple[list[float], list[float]]:
-    """The roots of the Chebyshev series c in t = 2x - 1 whose x has real
+def _chebroots(series) -> list[np.ndarray]:
+    """numpy's `chebroots` of each series, bit for bit, from one eigenvalue
+    call per matrix size: each series is trimmed of trailing zeros and its
+    colleague matrix built as `chebcompanion` builds it (Boyd, SIAM J.
+    Numer. Anal. 40, 2002); the matrices of one size are stacked."""
+    series = [np.asarray(c, dtype=float) for c in series]
+    roots = [np.array([])] * len(series)
+    by_size: dict[int, list[int]] = {}
+    for i, c in enumerate(series):
+        while len(c) and c[-1] == 0.0:
+            c = c[:-1]
+        series[i] = c
+        if len(c) == 2:
+            roots[i] = np.array([-c[0] / c[1]])
+        elif len(c) > 2:
+            by_size.setdefault(len(c) - 1, []).append(i)
+    for n, members in by_size.items():
+        c = np.array([series[i] for i in members])
+        mat = np.zeros((len(members), n, n))
+        off = np.arange(n - 1)
+        edge = np.full(n - 1, 0.5)
+        edge[0] = np.sqrt(0.5)
+        mat[:, off, off + 1] = mat[:, off + 1, off] = edge
+        scl = np.array([1.0] + [np.sqrt(0.5)] * (n - 1))
+        mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * 0.5
+        # The rotated matrix, as chebroots takes it; eigvals returns real
+        # values only when every eigenvalue of its matrix is real.
+        for i, w in zip(members, np.linalg.eigvals(mat[:, ::-1, ::-1])):
+            roots[i] = np.sort(w.real if not w.imag.any() else w)
+    return roots
+
+
+def _interval_roots(z: np.ndarray, x_lo: float, x_hi: float) -> tuple[list[float], list[float]]:
+    """The roots z of a Chebyshev series in t = 2x - 1 whose x has real
     part in (x_lo, x_hi), as (roots, suspects): the real roots, ascending;
     a near-real conjugate pair, or two real roots, closer than
     _TANGENCY_GAP is one suspect at its real part or midpoint instead."""
-    from numpy.polynomial.chebyshev import chebroots
-
-    x = 0.5 * (1.0 + chebroots(c))
+    x = 0.5 * (1.0 + z)
     x = x[(x_lo < x.real) & (x.real < x_hi)]
     suspects = [float(z.real) for z in x if 0.0 < z.imag < 0.5 * _TANGENCY_GAP]
     roots: list[float] = []
@@ -233,46 +279,59 @@ def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
     interval would get alone.  With the end poles cancelled as the kernel
     forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), g_r is
     F_r x^(r // k) (1 - x)^(r // (k - 1)) times a positive constant, in
-    x in [0, 1] across the interval."""
-    tasks = [(k, list(r_values)) for k, r_values in tasks]
+    x in [0, 1] across the interval.  Each later step runs once for the
+    whole run (see the module docstring)."""
+    checked = []
     for k, r_values in tasks:
-        if not r_values:
+        pairs = [_check_interval(r, k) for r in r_values]
+        if not pairs:
             raise ParameterRangeError("need at least one fold count")
-        for r in r_values:
-            _check_interval(r, k)
-    if not tasks:
+        checked.append((pairs[0][1], sorted({r for r, _ in pairs})))
+    if not checked:
         return []
-    tasks = [(k, sorted(set(r_values))) for k, r_values in tasks]
+    tasks = checked
     n = _PROXY_NODES
     nodes = [np.concatenate([_proxy_nodes(k, n), _proxy_nodes(k, 2 * n)]) for k, _ in tasks]
     table = _fold_table(max(max(r_values) for _, r_values in tasks), np.concatenate(nodes))
-    found = []
+    pairs, g = [], []
     for i, ((k, r_values), s) in enumerate(zip(tasks, nodes)):
         columns = slice(3 * n * i, 3 * n * (i + 1))
         below, above = k * s - 1.0, 1.0 - (k - 1) * s
+        for r in r_values:
+            # Scalar exponents: numpy's fast paths for them set the bits.
+            g.append(table[r][columns] * below ** (r // k) * above ** (r // (k - 1)))
+            pairs.append((r, k))
+    g = np.array(g)
+    (_, coarse, coarse_ok), (full, fine, ok) = _proxy_series(g[:, :n]), _proxy_series(g[:, n:])
+    if series is not None:
+        full, coarse, fine = (
+            [series(f, r, k) for f, (r, k) in zip(rows, pairs)] for rows in (full, coarse, fine)
+        )
+    eigen = _chebroots(coarse + fine)
+    scans, roots = [], []
+    for i, (r, k) in enumerate(pairs):
         lo, hi = _interval_bounds(k)
         width = 1.0 / (k - 1) - 1.0 / k
         x_lo, x_hi = (lo - 1.0 / k) / width, (hi - 1.0 / k) / width
-        for r in r_values:
-            g = table[r][columns] * below ** (r // k) * above ** (r // (k - 1))
-            (_, coarse, coarse_ok), (c, fine, ok) = _proxy_series(g[:n]), _proxy_series(g[n:])
-            if series is not None:
-                c, coarse, fine = (series(f, r, k) for f in (c, coarse, fine))
-            (coarse, coarse_suspects), (roots, suspects) = (
-                _series_roots(f, x_lo, x_hi) for f in (coarse, fine)
-            )
-            settled = len(coarse) == len(roots) and coarse_ok and ok
-            scan = IntervalScan(
-                r=r,
-                k=k,
-                zeros=(),
-                grid_counts=(len(coarse), len(roots)),
-                count_stable=settled and not (coarse_suspects or suspects),
-                tangency_suspects=tuple(1.0 / k + width * x for x in suspects),
-            )
-            t, slope = _newton_step(c, roots)
-            x = tuple((1.0 / k + width * 0.5 * (1.0 + t)).tolist())
-            found.append((scan, x, tuple(slope)))
+        (coarse_x, coarse_suspects), (fine_x, suspects) = (
+            _interval_roots(z, x_lo, x_hi) for z in (eigen[i], eigen[len(pairs) + i])
+        )
+        settled = len(coarse_x) == len(fine_x) and coarse_ok[i] and ok[i]
+        scans.append(IntervalScan(
+            r=r,
+            k=k,
+            zeros=(),
+            grid_counts=(len(coarse_x), len(fine_x)),
+            count_stable=settled and not (coarse_suspects or suspects),
+            tangency_suspects=tuple(1.0 / k + width * x for x in suspects),
+        ))
+        roots.append(fine_x)
+    found = []
+    for scan, (t, slope) in zip(scans, _newton_steps(full, roots)):
+        k = scan.k
+        width = 1.0 / (k - 1) - 1.0 / k
+        x = tuple((1.0 / k + width * 0.5 * (1.0 + t)).tolist())
+        found.append((scan, x, tuple(slope)))
     return found
 
 
@@ -376,10 +435,46 @@ def _chebval(t: float, c: list[float]) -> float:
 def _newton_step(c: np.ndarray, roots) -> tuple[np.ndarray, list[float]]:
     """One Newton step on the Chebyshev series c in t = 2x - 1 from each
     root x in [0, 1]: the stepped t, and the slope dc/dt it used."""
+    if not roots:
+        return np.array([]), []
     dc, c = _chebder(c), c.tolist()
     t = [2.0 * x - 1.0 for x in roots]
     slope = [_chebval(u, dc) for u in t]
     return np.array([u - _chebval(u, c) / d for u, d in zip(t, slope)]), slope
+
+
+def _newton_steps(series, roots) -> list[tuple[np.ndarray, list[float]]]:
+    """`_newton_step` for each series and its roots.  Below _COLUMN_ROOTS
+    roots in all, root by root; from there on, for the whole run at once
+    by `_newton_columns`, whose cost hardly depends on the root count."""
+    if sum(map(len, roots)) < _COLUMN_ROOTS:
+        return [_newton_step(c, x) for c, x in zip(series, roots)]
+    return _newton_columns(series, roots)
+
+
+def _newton_columns(series, roots) -> list[tuple[np.ndarray, list[float]]]:
+    """`_newton_step` for each series and its roots, bit for bit, from one
+    `chebder` and one Clenshaw sum down columns: every series, then every
+    root's series and derivative, zero-padded at the top to one length.
+    A leading zero leaves the Clenshaw state and every derivative
+    coefficient as they are, so each column keeps its own bits."""
+    from numpy.polynomial.chebyshev import chebder, chebval
+
+    length = max(map(len, series))
+    c = np.zeros((length, len(series)))
+    for j, f in enumerate(series):
+        c[: len(f), j] = f
+    counts = [len(x) for x in roots]
+    owner = np.repeat(np.arange(len(series)), counts)
+    terms = np.zeros((length, 2 * owner.size))
+    terms[:-1, : owner.size] = chebder(c)[:, owner]
+    terms[:, owner.size :] = c[:, owner]
+    t = 2.0 * np.array([x for xs in roots for x in xs]) - 1.0
+    slope, value = np.split(chebval(np.concatenate([t, t]), terms, tensor=False), 2)
+    ends = np.cumsum(counts)[:-1]
+    return [
+        (u, d.tolist()) for u, d in zip(np.split(t - value / slope, ends), np.split(slope, ends))
+    ]
 
 
 def _extrema(tasks) -> dict[tuple[int, int], tuple[ExtremumRecord, ...]]:

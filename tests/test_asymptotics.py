@@ -56,6 +56,12 @@ class TestPoleOrder:
         assert pole_spec(np.int64(4), 2) == pole_spec(4, 2)
         assert pole_spec(np.int32(6), np.int64(3)).order == 2
 
+    def test_numpy_integers_leave_python_fields(self):
+        spec = pole_spec(np.int64(4), np.int32(2))
+        assert repr(spec) == repr(pole_spec(4, 2))
+        assert [type(getattr(spec, f)) for f in ("r", "k", "order", "sign")] == [int] * 4
+        assert [type(getattr(spec, f)) for f in ("location", "constant")] == [float] * 2
+
     @pytest.mark.parametrize("r,k", [(True, 1), (np.True_, 1), (4, True), (4, np.True_)])
     def test_bools_are_not_integers(self, r, k):
         with pytest.raises(ParameterRangeError):

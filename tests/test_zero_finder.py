@@ -277,6 +277,25 @@ class TestScanFolds:
         assert run["zeros"] == single["zeros"]
         assert run["intervals"] == single["intervals"]
 
+    def test_column_step_equals_root_by_root(self, monkeypatch):
+        # A census to r = 16 has enough roots to take the column Newton
+        # step; a single interval takes the root-by-root one.  Both give
+        # the same records, bit for bit.
+        runs = []
+        columns = zero_finder._newton_columns
+
+        def recorded(series, roots):
+            runs.append(sum(map(len, roots)))
+            return columns(series, roots)
+
+        monkeypatch.setattr(zero_finder, "_newton_columns", recorded)
+        census = zero_finder._scan_many(zero_finder._census_tasks(SCAN_R_MAX))
+        assert runs == [228]
+        single = {(r, k): scan_interval(r, k) for r, k in census}
+        assert runs == [228]
+        assert max(len(zero_finder._scan_grid([(k, [r])])[0][1]) for r, k in census) < zero_finder._COLUMN_ROOTS
+        assert repr(census) == repr(single)
+
     def test_validation(self):
         for r_values in ([], [3, 2], [3, SCAN_R_MAX + 1]):
             with pytest.raises(ParameterRangeError):
@@ -289,6 +308,7 @@ ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json"
 class TestChebyshevProxy:
     @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
     def test_counts_are_the_conjecture_and_resolved(self, k, monkeypatch):
+        # One stacked DCT per node count, one row per fold count.
         resolved = []
         proxy_series = zero_finder._proxy_series
 
@@ -303,7 +323,8 @@ class TestChebyshevProxy:
             (r // k, r // k) for r in range(k, SCAN_R_MAX + 1)
         ]
         assert all(scan.count_stable for scan in scans)
-        assert len(resolved) == 2 * len(scans) and all(resolved)
+        assert [len(rows) for rows in resolved] == [len(scans)] * 2
+        assert all(all(rows) for rows in resolved)
 
     @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
     def test_nodes_clear_the_pole_guard(self, k):
@@ -333,10 +354,37 @@ class TestChebyshevProxy:
         rng = np.random.default_rng(7)
         _inject_folds(monkeypatch, lambda s: rng.standard_normal(s.size))
         for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
-            _, _, resolved = zero_finder._proxy_series(rng.standard_normal(n))
-            assert not resolved
+            _, _, resolved = zero_finder._proxy_series(rng.standard_normal((3, n)))
+            assert resolved == [False] * 3
         ((scan, _, _),) = zero_finder._scan_grid([(2, [2])])
         assert not scan.count_stable
+
+    def test_stacked_roots_equal_chebroots(self, monkeypatch):
+        # Every chopped series of a census to r = 16, short and degenerate
+        # series, and series ending in zeros: `_chebroots` gives each the
+        # array `chebroots` gives it, dtype and bits.
+        from numpy.polynomial.chebyshev import chebroots
+
+        seen = []
+        stacked = zero_finder._chebroots
+
+        def recorded(series):
+            seen.extend(np.array(c) for c in series)
+            return stacked(series)
+
+        monkeypatch.setattr(zero_finder, "_chebroots", recorded)
+        zero_finder._scan_grid(zero_finder._census_tasks(SCAN_R_MAX))
+        assert len(seen) == 2 * 120
+        rng = np.random.default_rng(11)
+        seen += [np.array([0.7]), np.array([0.0]), np.array([0.5, -2.0]), np.array([1.0, 0.5, 2.0])]
+        seen += [np.array([0.0, 0.0, 0.0]), np.array([0.5, -2.0, 0.0]), np.array([1.0, 0.5, 2.0, 0.0, 0.0])]
+        seen += [np.concatenate([rng.standard_normal(n), np.zeros(z)]) for n, z in ((9, 1), (9, 4), (30, 2))]
+        # Complex conjugate pairs in one matrix, real roots only in another
+        # of the same size.
+        seen += [np.array([2.0, 0.0, 1.0]), np.array([-0.5, 0.0, 1.0])]
+        for got, c in zip(stacked(seen), seen):
+            want = chebroots(c)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), c
 
     def test_zeros_match_the_mpmath_oracle(self):
         # Every zero the scan finds, for the fold counts the benchmark
@@ -378,6 +426,21 @@ class TestFindExtrema:
             assert zero_finder._chebder(c) == d.tolist()
             for t in rng.uniform(-1.0, 1.0, 3).tolist():
                 assert zero_finder._chebval(t, c.tolist()) == chebval(np.array([t]), c)[0]
+        # The column step pads every series at the top to the longest and
+        # gives each root numpy's bits and those of the root-by-root step.
+        lengths = rng.integers(2, 301, 40)
+        series = [rng.standard_normal(n) * np.exp(-0.05 * np.arange(n)) for n in lengths]
+        roots = [rng.uniform(0.0, 1.0, rng.integers(0, 4)).tolist() for _ in series]
+        steps = zero_finder._newton_columns(series, roots)
+        assert len(steps) == len(series)
+        for c, x, (t, slope) in zip(series, roots, steps):
+            u = 2.0 * np.array(x) - 1.0
+            d = np.array([chebval(v, chebder(c)) for v in u.tolist()])
+            assert slope == d.tolist()
+            assert t.tolist() == (u - np.array([chebval(v, c) for v in u.tolist()]) / d).tolist()
+            if c.size > 2:
+                single = zero_finder._newton_step(c, x)
+                assert t.tolist() == single[0].tolist() and slope == single[1]
 
     def test_four_fold_minimum(self):
         records = find_extrema(4, 2)
