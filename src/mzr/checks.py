@@ -31,8 +31,9 @@ from .census import (
     iaz_predicted,
     iaz_predicted_range,
 )
-from .multizeta import closed_form, multizeta, multizeta_grid, truncated_euler_zagier
-from .riemann_kernel import _direct_terms, _tail, riemann_zeta, riemann_zeta_alternating
+from .multizeta import R_MAX, closed_form, multizeta, multizeta_grid, truncated_euler_zagier
+from .riemann_kernel import _GRID_TERMS, _direct_terms, _tail, _zeta_rows
+from .riemann_kernel import riemann_zeta, riemann_zeta_alternating
 from .zero_finder import IntervalScan, _census_tasks, _interval_bounds, _scan_many
 
 _REFERENCE_CELLS = 4 * (4096 - 1)
@@ -96,17 +97,26 @@ def decreasing_beyond_one() -> Check:
 
 def direct_term_doubling() -> Check:
     """`riemann_zeta` against the same sum with twice its direct terms,
-    the remainder from `_tail`."""
+    the remainder from `_tail`, and the fold-table rows 1..R_MAX at the
+    grid cut against the same rows at twice the cut, on [0, 60] off the
+    poles."""
     worst = 0.0
     for s in (0.25, 0.5, 2.0, 7.5, 25.0, 40.0):
         n = 2 * _direct_terms(s)
         total = float((np.arange(1, n, dtype=float) ** -s).sum())
         a, b = riemann_zeta(s), _tail(total, s, n, n ** -s)
         worst = max(worst, abs(a - b) / abs(b))
+    rows = np.arange(1, R_MAX + 1)[:, None]
+    s = np.linspace(0.0, 60.0, 2401)
+    s = s[np.all(np.abs(rows * s - 1.0) > 1e-8, axis=0)]
+    cut, doubled = _zeta_rows(R_MAX, s), _zeta_rows(R_MAX, s, 2 * _GRID_TERMS)
+    shift = np.abs(cut - doubled) / np.abs(doubled)
+    row, at = np.unravel_index(np.argmax(shift), shift.shape)
     return Check(
         "direct-term doubling self-consistency",
-        worst <= 1e-13,
-        f"max rel shift {worst:.3e}",
+        worst <= 1e-13 and shift[row, at] <= 1e-13,
+        f"max rel shift {worst:.3e}; grid rows 1..{R_MAX} at {_GRID_TERMS} terms: "
+        f"{shift[row, at]:.3e} at row {row + 1}, s = {s[at]:.4g}",
     )
 
 

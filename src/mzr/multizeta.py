@@ -168,9 +168,10 @@ def multizeta_grid(r: int, s: np.ndarray) -> np.ndarray:
     scalar path.  Values are pointwise: each depends only on its own
     abscissa, never on the other elements.  For r = 1 or s <= 1 they are
     the last fold of `_fold_table(r, s)`, and may differ from the scalar
-    path by a few ulp, since the zeta sums are taken in another order; fold
-    j of a table built for any r >= j is `multizeta_grid(j, s)` there, bit
-    for bit.  For r >= 2 and s > 1 each value is the scalar path's
+    path by rounding, amplified by the recursion as r grows: the grid
+    takes one cut for every zeta(i*s) (see `_zeta_rows`).  Fold j of a
+    table built for any r >= j is `multizeta_grid(j, s)` there, bit for
+    bit.  For r >= 2 and s > 1 each value is the scalar path's
     head/tail split, bit for bit, as the table's recursion would cancel
     O(1) terms down to values near (r!)^(-s); a value below the double
     range raises NonConvergenceError.

@@ -18,7 +18,8 @@ a root that fails its check is flagged instead of trusted.
 
 The proxy-root stage works on a run at once, not interval by interval:
 one DCT per node count over the stacked proxies, one eigenvalue call per
-colleague-matrix size, and, for a run with many roots, one Newton step
+colleague-matrix size, one pass of the interval and near-real-pair tests
+over all their roots, and, for a run with many roots, one Newton step
 down the columns of all its series.  Each step gives every proxy the
 bits it would get alone, so a record does not depend on the run it
 belongs to.
@@ -250,21 +251,28 @@ def _chebroots(series) -> list[np.ndarray]:
     return roots
 
 
-def _interval_roots(z: np.ndarray, x_lo: float, x_hi: float) -> tuple[list[float], list[float]]:
-    """The roots z of a Chebyshev series in t = 2x - 1 whose x has real
-    part in (x_lo, x_hi), as (roots, suspects): the real roots, ascending;
-    a near-real conjugate pair, or two real roots, closer than
-    _TANGENCY_GAP is one suspect at its real part or midpoint instead."""
-    x = 0.5 * (1.0 + z)
-    x = x[(x_lo < x.real) & (x.real < x_hi)]
-    suspects = [float(z.real) for z in x if 0.0 < z.imag < 0.5 * _TANGENCY_GAP]
-    roots: list[float] = []
-    for z in np.sort(x.real[x.imag == 0.0]).tolist():
-        if roots and z - roots[-1] < _TANGENCY_GAP:
-            suspects.append(0.5 * (roots.pop() + z))
+def _interval_roots(eigen, bounds) -> list[tuple[list[float], list[float]]]:
+    """For each root array z of a Chebyshev series in t = 2x - 1, ascending
+    as `_chebroots` gives it, and its (x_lo, x_hi): the roots whose x has
+    real part in (x_lo, x_hi), as (roots, suspects): the real roots,
+    ascending; a near-real conjugate pair, or two real roots, closer than
+    _TANGENCY_GAP is one suspect at its real part or midpoint instead.
+    Only the merge of close real roots runs series by series."""
+    owner = np.repeat(np.arange(len(eigen)), [len(z) for z in eigen])
+    x = 0.5 * (1.0 + np.concatenate(eigen))
+    lo, hi = np.array(bounds).T
+    inside = (lo[owner] < x.real) & (x.real < hi[owner])
+    pair = inside & (0.0 < x.imag) & (x.imag < 0.5 * _TANGENCY_GAP)
+    real = inside & (x.imag == 0.0)
+    roots, suspects = [[] for _ in eigen], [[] for _ in eigen]
+    for i, z in zip(owner[pair].tolist(), x.real[pair].tolist()):
+        suspects[i].append(z)
+    for i, z in zip(owner[real].tolist(), x.real[real].tolist()):
+        if roots[i] and z - roots[i][-1] < _TANGENCY_GAP:
+            suspects[i].append(0.5 * (roots[i].pop() + z))
         else:
-            roots.append(z)
-    return roots, sorted(suspects)
+            roots[i].append(z)
+    return [(found, sorted(near)) for found, near in zip(roots, suspects)]
 
 
 def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
@@ -307,15 +315,12 @@ def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
         full, coarse, fine = (
             [series(f, r, k) for f, (r, k) in zip(rows, pairs)] for rows in (full, coarse, fine)
         )
-    eigen = _chebroots(coarse + fine)
+    widths = [1.0 / (k - 1) - 1.0 / k for _, k in pairs]
+    bounds = [[(b - 1.0 / k) / w for b in _interval_bounds(k)] for (_, k), w in zip(pairs, widths)]
+    filtered = _interval_roots(_chebroots(coarse + fine), bounds + bounds)
     scans, roots = [], []
-    for i, (r, k) in enumerate(pairs):
-        lo, hi = _interval_bounds(k)
-        width = 1.0 / (k - 1) - 1.0 / k
-        x_lo, x_hi = (lo - 1.0 / k) / width, (hi - 1.0 / k) / width
-        (coarse_x, coarse_suspects), (fine_x, suspects) = (
-            _interval_roots(z, x_lo, x_hi) for z in (eigen[i], eigen[len(pairs) + i])
-        )
+    for i, ((r, k), width) in enumerate(zip(pairs, widths)):
+        (coarse_x, coarse_suspects), (fine_x, suspects) = filtered[i], filtered[len(pairs) + i]
         settled = len(coarse_x) == len(fine_x) and coarse_ok[i] and ok[i]
         scans.append(IntervalScan(
             r=r,

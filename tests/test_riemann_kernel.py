@@ -15,6 +15,7 @@ from mzr import (
     M_MAX,
     ParameterRangeError,
     PoleProximityError,
+    R_MAX,
     checks,
     bernoulli,
     multizeta,
@@ -22,7 +23,7 @@ from mzr import (
     riemann_zeta,
     riemann_zeta_alternating,
 )
-from mzr.riemann_kernel import _BLOCK, _direct_terms, _zeta_rows
+from mzr.riemann_kernel import _BLOCK, _GRID_TERMS, _direct_terms, _zeta_rows
 
 # Values computed independently at 40 decimal digits and frozen here;
 # the library never sees them except through these assertions.
@@ -187,26 +188,38 @@ class TestGridEvaluation:
         assert multizeta_grid(1, np.empty(0)).size == 0
 
     def test_rows_against_mpmath(self):
-        # Rows i = 1..16 of the fold-table kernel, on (0, 1) and at
-        # 3e-8 on either side of every 1/i, where row i sits next to the
-        # pole of zeta.
+        # Rows i = 1..R_MAX of the fold-table kernel, on (0, 1), at 3e-8 on
+        # either side of every 1/i, where row i sits next to the pole of
+        # zeta, and above 1 up to the clamp at 54.
         mpmath = pytest.importorskip("mpmath")
-        near = [1.0 / i + d for i in range(1, 17) for d in (-3e-8, 3e-8)]
-        s = np.concatenate([np.linspace(0.004, 0.996, 61), near[1:]])
-        rows = np.arange(1, 17)[:, None]
+        near = [1.0 / i + d for i in range(1, R_MAX + 1) for d in (-3e-8, 3e-8)]
+        above = np.random.default_rng(32).uniform(1.0, 54.0, 24)
+        s = np.concatenate([np.linspace(0.004, 0.996, 61), near[1:], [1.5, 2.0, 54.0], above])
+        rows = np.arange(1, R_MAX + 1)[:, None]
         s = s[np.all(np.abs(rows * s - 1.0) > 1e-8, axis=0)]
         assert set(near[1:]) <= set(s.tolist())
-        values = _zeta_rows(16, s)
+        values = _zeta_rows(R_MAX, s)
         with mpmath.workdps(30):
-            for i in range(1, 17):
+            for i in range(1, R_MAX + 1):
                 for x, value in zip(s, values[i - 1]):
                     reference = mpmath.zeta(float(i * x))
                     assert abs(value - reference) <= 1e-13 * abs(reference), (i, x)
 
+    def test_rows_are_converged_at_the_cut(self):
+        # Twice the direct terms move no row by more than rounding: at
+        # random points of [0, 60] (past the clamp at 54) and next to the
+        # pole of every row.
+        near = [1.0 / i + d for i in range(1, R_MAX + 1) for d in (-3e-8, 3e-8)]
+        s = np.concatenate([np.random.default_rng(60).uniform(0.0, 60.0, 2000), near[1:]])
+        rows = np.arange(1, R_MAX + 1)[:, None]
+        s = s[np.all(np.abs(rows * s - 1.0) > 1e-8, axis=0)]
+        doubled = _zeta_rows(R_MAX, s, 2 * _GRID_TERMS)
+        np.testing.assert_allclose(_zeta_rows(R_MAX, s), doubled, rtol=1e-13, atol=0)
+
     def test_rows_are_pointwise(self):
-        # Each point gets its own term counts, so no value depends on the
-        # other points: rows with i*s past 10 take more direct terms, and
-        # the points are processed in blocks.
+        # Every row and point takes the same cut and its own powers, so no
+        # value depends on the other points, though the points are
+        # processed in blocks.
         s = np.linspace(0.52, 3.5, 4500)
         values = _zeta_rows(12, s)
         b = _BLOCK // 12

@@ -386,6 +386,47 @@ class TestChebyshevProxy:
             want = chebroots(c)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), c
 
+    def test_stacked_filter_equals_series_by_series(self, monkeypatch):
+        # Every root array of a census to r = 16 and of its extrema, and
+        # random ones with near-real pairs, close real pairs and roots on
+        # either side of the bounds: the one-pass filter gives each array
+        # what the filter of that array alone gives it, bits and order.
+        def alone(z, x_lo, x_hi):
+            x = 0.5 * (1.0 + z)
+            x = x[(x_lo < x.real) & (x.real < x_hi)]
+            suspects = [float(v.real) for v in x if 0.0 < v.imag < 0.5 * zero_finder._TANGENCY_GAP]
+            roots = []
+            for v in np.sort(x.real[x.imag == 0.0]).tolist():
+                if roots and v - roots[-1] < zero_finder._TANGENCY_GAP:
+                    suspects.append(0.5 * (roots.pop() + v))
+                else:
+                    roots.append(v)
+            return roots, sorted(suspects)
+
+        runs = []
+        stacked = zero_finder._interval_roots
+
+        def recorded(eigen, bounds):
+            runs.append((eigen, bounds))
+            return stacked(eigen, bounds)
+
+        monkeypatch.setattr(zero_finder, "_interval_roots", recorded)
+        tasks = zero_finder._census_tasks(SCAN_R_MAX)
+        zero_finder._scan_grid(tasks)
+        zero_finder._scan_grid(tasks, zero_finder._extremum_series)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            eigen = []
+            for m in rng.integers(0, 12, rng.integers(1, 20)):
+                z = rng.uniform(-1.2, 1.2, m) + 1j * rng.choice([0.0, 0.0, 1e-4, -1e-4, 1.4e-3, 0.3], m)
+                if m and rng.random() < 0.5:
+                    z = np.concatenate([z, z[:1].real + 3e-4])
+                eigen.append(np.sort(z.real if rng.random() < 0.3 else z))
+            runs.append((eigen, [sorted(rng.uniform(0.0, 1.0, 2)) for _ in eigen]))
+        for eigen, bounds in runs:
+            want = [alone(z, x_lo, x_hi) for z, (x_lo, x_hi) in zip(eigen, bounds)]
+            assert stacked(eigen, bounds) == want
+
     def test_zeros_match_the_mpmath_oracle(self):
         # Every zero the scan finds, for the fold counts the benchmark
         # oracle holds, against its mpmath root (150 digits, tolerance
