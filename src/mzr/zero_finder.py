@@ -19,10 +19,9 @@ a root that fails its check is flagged instead of trusted.
 The proxy-root stage works on a run at once, not interval by interval:
 one DCT per node count over the stacked proxies, one eigenvalue call per
 colleague-matrix size, one pass of the interval and near-real-pair tests
-over all their roots, and, for a run with many roots, one Newton step
-down the columns of all its series.  Each step gives every proxy the
-bits it would get alone, so a record does not depend on the run it
-belongs to.
+over all their roots, and one Newton step down the zero-padded columns
+of all its series.  Each step gives every proxy the bits it would get
+alone, so a record does not depend on the run it belongs to.
 
 Extrema are the roots of the same proxy's exact derivative, found by the
 same root stage and polished by the same Newton step; like a run's
@@ -65,12 +64,6 @@ BRACKET_WIDTH = 1e-12
 _PROXY_NODES = 128
 _CHOP = 1e-10
 _TANGENCY_GAP = 1e-3
-
-# Root count of a run from which its Newton step runs down columns
-# (`_newton_columns`) instead of root by root: measured on 2 CPUs with
-# numpy 2.4, the columns cost about 2.5 ms per run and a root alone about
-# 85 us on the 256-coefficient series.
-_COLUMN_ROOTS = 28
 
 
 def delta_exclusion(k: int) -> float:
@@ -287,8 +280,9 @@ def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
     interval would get alone.  With the end poles cancelled as the kernel
     forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), g_r is
     F_r x^(r // k) (1 - x)^(r // (k - 1)) times a positive constant, in
-    x in [0, 1] across the interval.  Each later step runs once for the
-    whole run (see the module docstring)."""
+    x in [0, 1] across the interval.  Each later step, down to the one
+    Newton step of `_newton_steps`, runs once for the whole run (see the
+    module docstring)."""
     checked = []
     for k, r_values in tasks:
         pairs = [_check_interval(r, k) for r in r_values]
@@ -411,59 +405,28 @@ def _extremum_series(c: np.ndarray, r: int, k: int) -> np.ndarray:
     return chebsub(slope, chebmul([(m_a - m_b) / 2, -(m_a + m_b) / 2], c))
 
 
-def _chebder(c: np.ndarray) -> list[float]:
-    """numpy's `chebder(c)` for a series of at least two coefficients, its
-    recurrence step for step on Python floats: the same bits without a
-    numpy call per coefficient."""
-    c = c.tolist()
-    n = len(c) - 1
-    der = [0.0] * n
-    for j in range(n, 2, -1):
-        der[j - 1] = (2 * j) * c[j]
-        c[j - 2] += (j * c[j]) / (j - 2)
-    if n > 1:
-        der[1] = 4 * c[2]
-    der[0] = c[1]
-    return der
-
-
-def _chebval(t: float, c: list[float]) -> float:
-    """numpy's `chebval(t, c)` at one float t, for at least two
-    coefficients: its Clenshaw recurrence step for step on Python floats."""
-    x2 = 2 * t
-    c0, c1 = c[-2], c[-1]
-    for i in range(3, len(c) + 1):
-        c0, c1 = c[-i] - c1, c0 + c1 * x2
-    return c0 + c1 * t
-
-
-def _newton_step(c: np.ndarray, roots) -> tuple[np.ndarray, list[float]]:
-    """One Newton step on the Chebyshev series c in t = 2x - 1 from each
-    root x in [0, 1]: the stepped t, and the slope dc/dt it used."""
-    if not roots:
-        return np.array([]), []
-    dc, c = _chebder(c), c.tolist()
-    t = [2.0 * x - 1.0 for x in roots]
-    slope = [_chebval(u, dc) for u in t]
-    return np.array([u - _chebval(u, c) / d for u, d in zip(t, slope)]), slope
+def _chebder(c: np.ndarray) -> np.ndarray:
+    """The derivative of each Chebyshev series c along axis 0: d_m the sum
+    of 2 j c_j over j = m + 1, m + 3, ..., and d_0 half of it, as suffix
+    sums by parity.  They run from the top down, so zeros padded at the
+    top leave every coefficient's bits as they are."""
+    w = (2.0 * np.arange(len(c)) * c.T).T
+    d = np.empty_like(w[1:])
+    d[::2] = np.cumsum(w[1::2][::-1], axis=0)[::-1]
+    d[1::2] = np.cumsum(w[2::2][::-1], axis=0)[::-1]
+    d[:1] *= 0.5
+    return d
 
 
 def _newton_steps(series, roots) -> list[tuple[np.ndarray, list[float]]]:
-    """`_newton_step` for each series and its roots.  Below _COLUMN_ROOTS
-    roots in all, root by root; from there on, for the whole run at once
-    by `_newton_columns`, whose cost hardly depends on the root count."""
-    if sum(map(len, roots)) < _COLUMN_ROOTS:
-        return [_newton_step(c, x) for c, x in zip(series, roots)]
-    return _newton_columns(series, roots)
-
-
-def _newton_columns(series, roots) -> list[tuple[np.ndarray, list[float]]]:
-    """`_newton_step` for each series and its roots, bit for bit, from one
-    `chebder` and one Clenshaw sum down columns: every series, then every
-    root's series and derivative, zero-padded at the top to one length.
-    A leading zero leaves the Clenshaw state and every derivative
-    coefficient as they are, so each column keeps its own bits."""
-    from numpy.polynomial.chebyshev import chebder, chebval
+    """One Newton step on each Chebyshev series in t = 2x - 1 from each of
+    its roots x in [0, 1]: the stepped t, and the slope dc/dt it used.
+    One `_chebder` and one Clenshaw sum run down the columns of the whole
+    run: every series, then every root's series and derivative,
+    zero-padded at the top to one length.  A leading zero leaves the
+    Clenshaw state as it is, so each column keeps the bits it would get
+    alone."""
+    from numpy.polynomial.chebyshev import chebval
 
     length = max(map(len, series))
     c = np.zeros((length, len(series)))
@@ -472,7 +435,7 @@ def _newton_columns(series, roots) -> list[tuple[np.ndarray, list[float]]]:
     counts = [len(x) for x in roots]
     owner = np.repeat(np.arange(len(series)), counts)
     terms = np.zeros((length, 2 * owner.size))
-    terms[:-1, : owner.size] = chebder(c)[:, owner]
+    terms[:-1, : owner.size] = _chebder(c)[:, owner]
     terms[:, owner.size :] = c[:, owner]
     t = 2.0 * np.array([x for xs in roots for x in xs]) - 1.0
     slope, value = np.split(chebval(np.concatenate([t, t]), terms, tensor=False), 2)

@@ -23,7 +23,7 @@ from mzr import (
     riemann_zeta,
     riemann_zeta_alternating,
 )
-from mzr.riemann_kernel import _BLOCK, _GRID_TERMS, _direct_terms, _zeta_rows
+from mzr.riemann_kernel import _BLOCK, _CORRECTION_TERMS, _GRID_TERMS, _direct_terms, _zeta_rows
 
 # Values computed independently at 40 decimal digits and frozen here;
 # the library never sees them except through these assertions.
@@ -215,6 +215,24 @@ class TestGridEvaluation:
         s = s[np.all(np.abs(rows * s - 1.0) > 1e-8, axis=0)]
         doubled = _zeta_rows(R_MAX, s, 2 * _GRID_TERMS)
         np.testing.assert_allclose(_zeta_rows(R_MAX, s), doubled, rtol=1e-13, atol=0)
+
+    def test_cut_is_the_smallest_below_the_bound(self):
+        # The `_zeta_rows` docstring's remainder bound relative to |zeta|:
+        # below u/100 at the cut, above it one term earlier, on [0, 54]
+        # (zeta rounds to 1 beyond).  Doubling the terms cannot tell these
+        # cuts apart, since rounding near 1e-14 hides the truncation.
+        mpmath = pytest.importorskip("mpmath")
+        two_m = 2 * _CORRECTION_TERMS
+        sigmas = [x for x in np.linspace(0.0, 54.0, 1001).tolist() if x != 1.0]
+
+        def peak(n):
+            return max(
+                4 * mpmath.rf(x, two_m) / (2 * mpmath.pi) ** two_m
+                * mpmath.mpf(n) ** (1 - x - two_m) / (x + two_m - 1) / abs(mpmath.zeta(x))
+                for x in sigmas
+            )
+
+        assert peak(_GRID_TERMS) < 2.0**-53 / 100 < peak(_GRID_TERMS - 1)
 
     def test_rows_are_pointwise(self):
         # Every row and point takes the same cut and its own powers, so no

@@ -277,24 +277,15 @@ class TestScanFolds:
         assert run["zeros"] == single["zeros"]
         assert run["intervals"] == single["intervals"]
 
-    def test_column_step_equals_root_by_root(self, monkeypatch):
-        # A census to r = 16 has enough roots to take the column Newton
-        # step; a single interval takes the root-by-root one.  Both give
-        # the same records, bit for bit.
-        runs = []
-        columns = zero_finder._newton_columns
-
-        def recorded(series, roots):
-            runs.append(sum(map(len, roots)))
-            return columns(series, roots)
-
-        monkeypatch.setattr(zero_finder, "_newton_columns", recorded)
+    def test_records_do_not_depend_on_the_run(self):
+        # One Newton step serves a whole run, down the columns of its
+        # series; a census to SCAN_R_MAX and the extrema of r = 16 give
+        # the records of each interval run alone, to the last bit.
         census = zero_finder._scan_many(zero_finder._census_tasks(SCAN_R_MAX))
-        assert runs == [228]
-        single = {(r, k): scan_interval(r, k) for r, k in census}
-        assert runs == [228]
-        assert max(len(zero_finder._scan_grid([(k, [r])])[0][1]) for r, k in census) < zero_finder._COLUMN_ROOTS
-        assert repr(census) == repr(single)
+        assert len(census) == 120
+        assert repr(census) == repr({(r, k): scan_interval(r, k) for r, k in census})
+        run = zero_finder._extrema([(k, [16]) for k in range(2, 17)])
+        assert repr(run) == repr({(16, k): find_extrema(16, k) for k in range(2, 17)})
 
     def test_validation(self):
         for r_values in ([], [3, 2], [3, SCAN_R_MAX + 1]):
@@ -455,33 +446,46 @@ class TestChebyshevProxy:
 
 
 class TestFindExtrema:
-    def test_float_chebyshev_helpers_match_numpy(self):
-        # The Newton step's derivative and Clenshaw sums must keep numpy's
-        # bits, so the extremum records do not move.
-        from numpy.polynomial.chebyshev import chebder, chebval
+    def test_chebder_matches_numpy(self):
+        from numpy.polynomial.chebyshev import chebder
 
         rng = np.random.default_rng(8)
         for n in rng.integers(2, 300, 60):
             c = rng.standard_normal(n) * np.exp(-0.05 * np.arange(n))
             d = chebder(c)
-            assert zero_finder._chebder(c) == d.tolist()
-            for t in rng.uniform(-1.0, 1.0, 3).tolist():
-                assert zero_finder._chebval(t, c.tolist()) == chebval(np.array([t]), c)[0]
-        # The column step pads every series at the top to the longest and
-        # gives each root numpy's bits and those of the root-by-root step.
+            assert np.abs(zero_finder._chebder(c) - d).max() <= 1e-15 * np.abs(d).max(), n
+
+    def test_chebder_column_keeps_its_bits(self):
+        # Zeros padded at the top of a column change none of its bits.
+        rng = np.random.default_rng(9)
+        series = [rng.standard_normal(n) for n in (1, 2, 3, 40, 257, 258)]
+        c = np.zeros((258, len(series)))
+        for j, f in enumerate(series):
+            c[: f.size, j] = f
+        stacked = zero_finder._chebder(c)
+        for j, f in enumerate(series):
+            d = zero_finder._chebder(f)
+            assert d.shape == (f.size - 1,)
+            assert stacked[: d.size, j].tolist() == d.tolist()
+            assert not stacked[d.size :, j].any()
+
+    def test_newton_steps_match_numpy(self):
+        from numpy.polynomial.chebyshev import chebder, chebval
+
+        rng = np.random.default_rng(10)
         lengths = rng.integers(2, 301, 40)
         series = [rng.standard_normal(n) * np.exp(-0.05 * np.arange(n)) for n in lengths]
         roots = [rng.uniform(0.0, 1.0, rng.integers(0, 4)).tolist() for _ in series]
-        steps = zero_finder._newton_columns(series, roots)
+        steps = zero_finder._newton_steps(series, roots)
         assert len(steps) == len(series)
         for c, x, (t, slope) in zip(series, roots, steps):
+            # The slope is numpy's to rounding in the sum of the terms; the
+            # value, from a zero-padded column, is numpy's bit for bit.
             u = 2.0 * np.array(x) - 1.0
-            d = np.array([chebval(v, chebder(c)) for v in u.tolist()])
-            assert slope == d.tolist()
-            assert t.tolist() == (u - np.array([chebval(v, c) for v in u.tolist()]) / d).tolist()
-            if c.size > 2:
-                single = zero_finder._newton_step(c, x)
-                assert t.tolist() == single[0].tolist() and slope == single[1]
+            d = chebder(c)
+            assert np.abs(np.array(slope) - chebval(u, d)).max(initial=0.0) <= 1e-14 * np.abs(d).sum()
+            assert t.tolist() == (u - chebval(u, c) / np.array(slope)).tolist()
+        assert zero_finder._newton_steps(series[:2], [[], []])[1][1] == []
 
     def test_four_fold_minimum(self):
         records = find_extrema(4, 2)
