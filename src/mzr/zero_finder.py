@@ -3,12 +3,13 @@
 Each interval (1/k, 1/(k-1)) between consecutive asymptotes is scanned
 through a Chebyshev proxy: the r-fold function with its poles at both
 ends cancelled, which is analytic on the closed interval and has the
-same zeros inside it, interpolated at 128 and at 256 first-kind nodes.
-A run's scan evaluates the 384 nodes of every interval in one fold table,
+same zeros inside it, interpolated at the 255 interior second-kind
+Chebyshev points of the interval and at every other one of them.  A
+run's scan evaluates the 255 points of every interval in one fold table,
 which serves every fold count that needs each interval.  Each series is
 chopped at its coefficient plateau (Aurentz & Trefethen, ACM TOMS 43,
 2017) and its roots are colleague-matrix eigenvalues (Boyd, SIAM J.
-Numer. Anal. 40, 2002).  Each root of the 256-node proxy is polished by
+Numer. Anal. 40, 2002).  Each root of the 255-point proxy is polished by
 one Newton step on the full series, and the roots of all intervals of a
 run are checked together in one more fold table: a root is a zero if the
 function changes sign across its 0.9e-12-wide bracket, and its residual
@@ -17,16 +18,16 @@ unresolved proxy, a near-real root pair (a possible even-order zero) or
 a root that fails its check is flagged instead of trusted.
 
 The proxy-root stage works on a run at once, not interval by interval:
-one DCT per node count over the stacked proxies, one eigenvalue call per
-colleague-matrix size, one pass of the interval and near-real-pair tests
-over all their roots, and one Newton step down the zero-padded columns
-of all its series.  Each step gives every proxy the bits it would get
-alone, so a record does not depend on the run it belongs to.
+one FFT per point count over the stacked proxies, one eigenvalue call
+per colleague-matrix size, one pass of the interval and near-real-pair
+tests over all their roots, and one Newton step down the zero-padded
+columns of all its series.  Each step gives every proxy the bits it
+would get alone, so a record does not depend on the run it belongs to.
 
 Extrema are the roots of the same proxy's exact derivative, found by the
 same root stage and polished by the same Newton step; like a run's
-zeros, a run's extrema come from two fold tables, the proxy nodes and the
-values at every extremum.  An unsettled extremum count raises
+zeros, a run's extrema come from two fold tables, the proxy points and
+the values at every extremum.  An unsettled extremum count raises
 NonConvergenceError.
 """
 from __future__ import annotations
@@ -57,8 +58,8 @@ SCAN_R_MAX = 16
 # Widest bracket of a zero, and the default bracket tolerance.
 BRACKET_WIDTH = 1e-12
 
-# The Chebyshev proxy: nodes of the coarser of its two interpolants (the
-# finer has twice as many), the chop level relative to the largest
+# The Chebyshev proxy: n of its grids, the interior second-kind points of
+# n and of 2n (n - 1 and 2n - 1), the chop level relative to the largest
 # coefficient, and the share of the interval below which two roots are
 # one suspected tangency.
 _PROXY_NODES = 128
@@ -137,8 +138,8 @@ class ExtremumRecord:
 class IntervalScan:
     """Scan result for one interval; iterates as a sequence of ZeroRecord.
 
-    grid_counts holds the real root counts of the Chebyshev proxy at 128
-    and at 256 nodes.  count_stable records whether the count can be
+    grid_counts holds the real root counts of the Chebyshev proxy at 127
+    and at 255 points.  count_stable records whether the count can be
     trusted: the two counts agree, both proxies are resolved, no tangency
     is suspected and every root was bracketed.  tangency_suspects are the
     abscissas of near-real conjugate root pairs and of real root pairs
@@ -186,29 +187,32 @@ def _straddles(f_lo: np.ndarray, f_hi: np.ndarray) -> np.ndarray:
 
 
 def _proxy_nodes(k: int, n: int) -> np.ndarray:
-    """The n first-kind Chebyshev nodes of (1/k, 1/(k-1)) as abscissas,
-    in descending order.  None is an endpoint: the nearest lies about
-    pi^2 w / (16 n^2) inside, for an interval of width w."""
-    t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    """The n - 1 interior second-kind Chebyshev points cos(j pi / n),
+    j = 1..n-1, of (1/k, 1/(k-1)) as abscissas, in descending order; those
+    of n are every other one of 2n, bit for bit.  None is an endpoint: the
+    nearest lies about pi^2 w / (4 n^2) inside, for an interval of width w."""
+    t = np.cos(np.pi * np.arange(1, n) / n)
     return 1.0 / k + 0.5 * (1.0 / (k - 1) - 1.0 / k) * (1.0 + t)
 
 
 def _proxy_series(values: np.ndarray) -> tuple[np.ndarray, list[np.ndarray], list[bool]]:
-    """For each row of values at the first-kind nodes: the Chebyshev series
-    of its interpolant (one row each), the same series chopped where its
-    coefficients fall below _CHOP of the largest, and whether it is
-    resolved: the chop keeps at most half of it."""
-    # The coefficients are a DCT-II of the values: an FFT of their even
-    # extension, turned by a quarter-sample phase.  One FFT serves every
-    # row; each row gets the bits it would get alone.
-    n = values.shape[1]
-    twiddle = np.exp(-0.5j * np.pi / n * np.arange(n))
-    extended = np.concatenate([values, values[:, ::-1]], axis=1)
-    c = (np.fft.rfft(extended)[:, :n] * twiddle).real / n
+    """For each row of values at the n - 1 interior second-kind points of
+    n: the Chebyshev series of its interpolant (one row each), the same
+    series chopped where its coefficients fall below _CHOP of the largest,
+    and whether it is resolved: the chop keeps at most n / 2 of them."""
+    # The interpolant's U-series is a DST-I of the values times sin(theta):
+    # an FFT of their odd extension.  U_m = 2 (T_m + T_{m-2} + ...) less
+    # T_0 for even m makes it a T-series by suffix sums by parity.  One FFT
+    # serves every row; each row gets the bits it would get alone.
+    n = values.shape[1] + 1
+    odd = np.zeros((len(values), 2 * n))
+    odd[:, 1:n] = values * np.sin(np.pi * np.arange(1, n) / n)
+    odd[:, n + 1 :] = -odd[:, n - 1 : 0 : -1]
+    c = _parity_sums(np.fft.rfft(odd)[:, 1:n].imag.T * (-2.0 / n)).T
     c[:, 0] *= 0.5
     size = np.abs(c)
     kept = size > _CHOP * size.max(axis=1, keepdims=True)
-    lengths = np.where(kept.any(axis=1), n - np.argmax(kept[:, ::-1], axis=1), 1).tolist()
+    lengths = np.where(kept.any(axis=1), n - 1 - np.argmax(kept[:, ::-1], axis=1), 1).tolist()
     return c, [row[:length] for row, length in zip(c, lengths)], [m <= n // 2 for m in lengths]
 
 
@@ -271,13 +275,14 @@ def _interval_roots(eigen, bounds) -> list[tuple[list[float], list[float]]]:
 def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
     """The proxy-root stage of a run, from one fold table: for every task
     (k, r_values), in order, and every fold count in it, in ascending r,
-    its IntervalScan without zeros, the roots of its 256-node proxy g (or
+    its IntervalScan without zeros, the roots of its 255-point proxy g (or
     of series(g, r, k)) in the guarded interval, each after one Newton
     step on the full series, and the slopes that step used.
 
-    The table holds the 384 nodes of each interval in turn, at the run's
-    largest r; its values are pointwise, so each proxy is the one its
-    interval would get alone.  With the end poles cancelled as the kernel
+    The table holds the 255 proxy points of each interval in turn, at the
+    run's largest r, and the 127-point proxy reads every other one of
+    them; its values are pointwise, so each proxy is the one its interval
+    would get alone.  With the end poles cancelled as the kernel
     forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), g_r is
     F_r x^(r // k) (1 - x)^(r // (k - 1)) times a positive constant, in
     x in [0, 1] across the interval.  Each later step, down to the one
@@ -292,19 +297,18 @@ def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
     if not checked:
         return []
     tasks = checked
-    n = _PROXY_NODES
-    nodes = [np.concatenate([_proxy_nodes(k, n), _proxy_nodes(k, 2 * n)]) for k, _ in tasks]
+    nodes = [_proxy_nodes(k, 2 * _PROXY_NODES) for k, _ in tasks]
     table = _fold_table(max(max(r_values) for _, r_values in tasks), np.concatenate(nodes))
     pairs, g = [], []
     for i, ((k, r_values), s) in enumerate(zip(tasks, nodes)):
-        columns = slice(3 * n * i, 3 * n * (i + 1))
+        columns = slice(s.size * i, s.size * (i + 1))
         below, above = k * s - 1.0, 1.0 - (k - 1) * s
         for r in r_values:
             # Scalar exponents: numpy's fast paths for them set the bits.
             g.append(table[r][columns] * below ** (r // k) * above ** (r // (k - 1)))
             pairs.append((r, k))
     g = np.array(g)
-    (_, coarse, coarse_ok), (full, fine, ok) = _proxy_series(g[:, :n]), _proxy_series(g[:, n:])
+    (_, coarse, coarse_ok), (full, fine, ok) = _proxy_series(g[:, 1::2]), _proxy_series(g)
     if series is not None:
         full, coarse, fine = (
             [series(f, r, k) for f, (r, k) in zip(rows, pairs)] for rows in (full, coarse, fine)
@@ -363,7 +367,7 @@ def _refine_scans(proxy_scans, tol: float = BRACKET_WIDTH) -> list[IntervalScan]
 
 def _scan_many(tasks, tol: float = BRACKET_WIDTH) -> dict[tuple[int, int], IntervalScan]:
     """Scan many intervals from two fold tables.  Each task is (k, fold
-    counts) and scans interval k once for all of them; the proxy nodes of
+    counts) and scans interval k once for all of them; the proxy points of
     every interval share the first table, and every root of the run is
     checked at +-0.45 tol in the second.  Results are keyed by (r, k), in
     task order."""
@@ -380,14 +384,15 @@ def scan_interval(r: int, k: int) -> IntervalScan:
     """Locate and refine every zero of the r-fold function in (1/k, 1/(k-1)):
     the one-task case of a run's scan.
 
-    The folds up to r are evaluated once, at the 128 and the 256
-    first-kind Chebyshev nodes of the interval.  The proxy, with its poles
-    cancelled, is chopped at its coefficient plateau, and its real roots
-    inside the interval are the zero counts.  Each root x of the 256-node
-    proxy gets one Newton step on the full series and is a zero if F
-    changes sign across x -+ 0.45e-12; zeros come in ascending order.  The
-    count is unstable unless both proxies give it, both resolve, neither
-    suspects a tangency and every root passes its check.
+    The folds up to r are evaluated once, at the 255 interior second-kind
+    Chebyshev points of the interval; the coarse proxy takes every other
+    one of them, 127.  The proxy, with its poles cancelled, is chopped at
+    its coefficient plateau, and its real roots inside the interval are
+    the zero counts.  Each root x of the 255-point proxy gets one Newton
+    step on the full series and is a zero if F changes sign across
+    x -+ 0.45e-12; zeros come in ascending order.  The count is unstable
+    unless both proxies give it, both resolve, neither suspects a tangency
+    and every root passes its check.
     """
     return _scan_many([(k, [r])])[(r, k)]
 
@@ -405,15 +410,19 @@ def _extremum_series(c: np.ndarray, r: int, k: int) -> np.ndarray:
     return chebsub(slope, chebmul([(m_a - m_b) / 2, -(m_a + m_b) / 2], c))
 
 
+def _parity_sums(w: np.ndarray) -> np.ndarray:
+    """s_m = w_m + w_(m+2) + ... along axis 0.  The sums run from the top
+    down, so zeros padded at the top leave every sum's bits as they are."""
+    s = np.empty_like(w)
+    s[::2] = np.cumsum(w[::2][::-1], axis=0)[::-1]
+    s[1::2] = np.cumsum(w[1::2][::-1], axis=0)[::-1]
+    return s
+
+
 def _chebder(c: np.ndarray) -> np.ndarray:
     """The derivative of each Chebyshev series c along axis 0: d_m the sum
-    of 2 j c_j over j = m + 1, m + 3, ..., and d_0 half of it, as suffix
-    sums by parity.  They run from the top down, so zeros padded at the
-    top leave every coefficient's bits as they are."""
-    w = (2.0 * np.arange(len(c)) * c.T).T
-    d = np.empty_like(w[1:])
-    d[::2] = np.cumsum(w[1::2][::-1], axis=0)[::-1]
-    d[1::2] = np.cumsum(w[2::2][::-1], axis=0)[::-1]
+    of 2 j c_j over j = m + 1, m + 3, ..., and d_0 half of it."""
+    d = _parity_sums((2.0 * np.arange(len(c)) * c.T).T)[1:]
     d[:1] *= 0.5
     return d
 
@@ -421,24 +430,26 @@ def _chebder(c: np.ndarray) -> np.ndarray:
 def _newton_steps(series, roots) -> list[tuple[np.ndarray, list[float]]]:
     """One Newton step on each Chebyshev series in t = 2x - 1 from each of
     its roots x in [0, 1]: the stepped t, and the slope dc/dt it used.
-    One `_chebder` and one Clenshaw sum run down the columns of the whole
-    run: every series, then every root's series and derivative,
-    zero-padded at the top to one length.  A leading zero leaves the
-    Clenshaw state as it is, so each column keeps the bits it would get
-    alone."""
-    from numpy.polynomial.chebyshev import chebval
-
+    Every value and slope of the run is one product of the series,
+    zero-padded at the top to one length, with T_j(t) = cos(j theta) and
+    T_j'(t) = j sin(j theta) / sin(theta), t = cos(theta), read off the
+    powers of e^(i theta) (one cumulative product) and summed down the
+    real and imaginary columns from j = 0: a padded zero leaves a sum's
+    bits as they are, so each root gets the bits it would get alone.  In
+    a guarded interval sin(theta) >= 0.02."""
     length = max(map(len, series))
     c = np.zeros((length, len(series)))
     for j, f in enumerate(series):
         c[: len(f), j] = f
     counts = [len(x) for x in roots]
     owner = np.repeat(np.arange(len(series)), counts)
-    terms = np.zeros((length, 2 * owner.size))
-    terms[:-1, : owner.size] = _chebder(c)[:, owner]
-    terms[:, owner.size :] = c[:, owner]
     t = 2.0 * np.array([x for xs in roots for x in xs]) - 1.0
-    slope, value = np.split(chebval(np.concatenate([t, t]), terms, tensor=False), 2)
+    sine, j = np.sqrt((1.0 - t) * (1.0 + t)), np.arange(length)[:, None]
+    z = np.cumprod(np.where(j > 0, t + 1j * sine, 1.0), axis=0)
+    z.real *= c[:, owner]
+    z.imag *= j * c[:, owner]
+    value, slope = z.view(float).sum(axis=0).reshape(-1, 2).T
+    slope = slope / sine
     ends = np.cumsum(counts)[:-1]
     return [
         (u, d.tolist()) for u, d in zip(np.split(t - value / slope, ends), np.split(slope, ends))
@@ -457,7 +468,7 @@ def _extrema(tasks) -> dict[tuple[int, int], tuple[ExtremumRecord, ...]]:
             raise NonConvergenceError(
                 f"extrema of the {scan.r}-fold function in (1/{scan.k}, 1/{scan.k - 1}) "
                 f"did not settle: {scan.grid_counts[0]} and {scan.grid_counts[1]} roots "
-                f"at {_PROXY_NODES} and {2 * _PROXY_NODES} nodes"
+                f"at {_PROXY_NODES - 1} and {2 * _PROXY_NODES - 1} points"
             )
     r = np.array([scan.r for scan, xs, _ in found for _ in xs], dtype=int)
     x = np.array([a for _, xs, _ in found for a in xs], dtype=float)
@@ -480,7 +491,7 @@ def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     Chebyshev proxy g (see `scan_interval`) turned into its exact derivative
     with the poles' share taken out: h = x (1 - x) g' - (m_a (1 - x) -
     m_b x) g, m_a = r // k, m_b = r // (k - 1), has the sign of F'.  Each
-    root of the 256-node proxy gets one Newton step on h from the full
+    root of the 255-point proxy gets one Newton step on h from the full
     series; h rising through it marks a minimum.  NonConvergenceError is
     raised unless both proxies give the count, resolve and suspect no
     tangency.  Values come from the second table; records ascend.

@@ -132,7 +132,7 @@ class TestCensusReport:
         assert report.empirical_total == 8
         assert report.predicted_total == 8
         assert report.divisor_total == 8
-        assert report.residual == pytest.approx(8.0 - iaz_asymptotic(6))
+        assert report.residual == pytest.approx(8.0 - iaz_asymptotic(6), rel=1e-6, abs=0)
 
     def test_intervals_ordered_by_descending_k(self):
         report = census_report(5, {2: 2, 3: 1, 4: 1, 5: 1})

@@ -108,7 +108,7 @@ class TestPlot:
         assert lines[1] == "s,value"
         assert lines[-1] == ""  # trailing LF
         first = lines[2].split(",")
-        assert float(first[0]) == pytest.approx(0.55)
+        assert float(first[0]) == pytest.approx(0.55, rel=1e-6, abs=0)
         assert "\r" not in out_path.read_text()
 
     def test_no_header_flag(self, tmp_path, capsys):
@@ -258,7 +258,7 @@ class TestPoles:
         assert [item["k"] for item in poles] == list(range(8, 0, -1))
         for item in poles:
             assert item["order"] == 8 // item["k"]
-            assert item["location"] == pytest.approx(1.0 / item["k"])
+            assert item["location"] == pytest.approx(1.0 / item["k"], rel=1e-6, abs=0)
             assert item["sign"] * item["constant"] > 0.0
             assert item["numeric_rel_error"] <= 1e-2
 

@@ -17,6 +17,7 @@ from mzr import (
     NonConvergenceError,
     POLE_GUARD_RADIUS,
     ParameterRangeError,
+    R_MAX,
     SCAN_R_MAX,
     ZeroRecord,
     delta_exclusion,
@@ -46,9 +47,9 @@ KNOWN_ZEROS = {
 
 class TestDeltaExclusion:
     def test_values_scale_with_interval_width(self):
-        assert delta_exclusion(1) == pytest.approx(5e-5)
-        assert delta_exclusion(2) == pytest.approx(5e-5)
-        assert delta_exclusion(3) == pytest.approx(1e-4 / 6.0)
+        assert delta_exclusion(1) == pytest.approx(5e-5, rel=1e-6, abs=0)
+        assert delta_exclusion(2) == pytest.approx(5e-5, rel=1e-6, abs=0)
+        assert delta_exclusion(3) == pytest.approx(1e-4 / 6.0, rel=1e-6, abs=0)
 
     def test_floor(self):
         assert delta_exclusion(1000) == 1e-6
@@ -236,7 +237,7 @@ class TestScanFolds:
             assert scan == scan_interval(r, k), (r, k)
 
     def test_a_run_makes_two_fold_tables(self, capsys, monkeypatch):
-        # One table over the proxy nodes of every interval of the run, one
+        # One table over the proxy points of every interval of the run, one
         # over every root check or extremum value.
         sizes = []
         kernel = multizeta_module._zeta_rows
@@ -248,15 +249,15 @@ class TestScanFolds:
         monkeypatch.setattr(multizeta_module, "_zeta_rows", counted)
         assert main(["census", "--r-max", "8"]) == 0
         assert len(sizes) == 2
-        assert sizes[0] == 7 * 3 * zero_finder._PROXY_NODES
+        assert sizes[0] == 7 * (2 * zero_finder._PROXY_NODES - 1)
         sizes.clear()
         assert main(["zeros", "--r", "16"]) == 0
         assert len(sizes) == 2
-        assert sizes[0] == 15 * 3 * zero_finder._PROXY_NODES
+        assert sizes[0] == 15 * (2 * zero_finder._PROXY_NODES - 1)
         sizes.clear()
         assert main(["extrema", "--r", "16"]) == 0
         assert len(sizes) == 2
-        assert sizes[0] == 15 * 3 * zero_finder._PROXY_NODES
+        assert sizes[0] == 15 * (2 * zero_finder._PROXY_NODES - 1)
         capsys.readouterr()
         sizes.clear()
         checks.fold_scans(8)
@@ -317,13 +318,37 @@ class TestChebyshevProxy:
         assert [len(rows) for rows in resolved] == [len(scans)] * 2
         assert all(all(rows) for rows in resolved)
 
-    @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
+    @pytest.mark.parametrize("k", range(2, R_MAX + 1))
     def test_nodes_clear_the_pole_guard(self, k):
+        # Every interval a fold count up to R_MAX can have: the nearest
+        # point, about pi^2 w / (4 n^2) inside, is 3.8e-8 from 1/32.
         for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
             s = zero_finder._proxy_nodes(k, n)
-            assert s.size == n
+            assert s.size == n - 1
             assert np.all((1.0 / k < s) & (s < 1.0 / (k - 1)))
             assert min(s.min() - 1.0 / k, 1.0 / (k - 1) - s.max()) > POLE_GUARD_RADIUS
+
+    def test_coarse_grid_is_every_other_fine_point(self):
+        n = zero_finder._PROXY_NODES
+        for k in range(2, R_MAX + 1):
+            coarse, fine = zero_finder._proxy_nodes(k, n), zero_finder._proxy_nodes(k, 2 * n)
+            assert coarse.tolist() == fine[1::2].tolist(), k
+
+    def test_series_recovered_from_both_grids(self):
+        # A series of degree <= 40 is its own interpolant at 127 and at
+        # 255 points; the DST and the parity sums give it back.
+        from numpy.polynomial.chebyshev import chebval
+
+        rng = np.random.default_rng(11)
+        c = rng.standard_normal((20, 41))
+        c[np.arange(41) > rng.integers(0, 41, (20, 1))] = 0.0
+        for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
+            t = np.cos(np.pi * np.arange(1, n) / n)
+            full, _, _ = zero_finder._proxy_series(chebval(t, c.T))
+            expected = np.zeros((20, n - 1))
+            expected[:, :41] = c
+            error = np.abs(full - expected).max(axis=1)
+            assert np.all(error <= 2e-14 * np.abs(c).max(axis=1)), error
 
     def test_double_root_is_one_suspect(self, capsys, monkeypatch):
         # A 2-fold function on (1/2, 1) with a double root at 0.7 and the
@@ -345,7 +370,7 @@ class TestChebyshevProxy:
         rng = np.random.default_rng(7)
         _inject_folds(monkeypatch, lambda s: rng.standard_normal(s.size))
         for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
-            _, _, resolved = zero_finder._proxy_series(rng.standard_normal((3, n)))
+            _, _, resolved = zero_finder._proxy_series(rng.standard_normal((3, n - 1)))
             assert resolved == [False] * 3
         ((scan, _, _),) = zero_finder._scan_grid([(2, [2])])
         assert not scan.count_stable
@@ -479,12 +504,15 @@ class TestFindExtrema:
         steps = zero_finder._newton_steps(series, roots)
         assert len(steps) == len(series)
         for c, x, (t, slope) in zip(series, roots, steps):
-            # The slope is numpy's to rounding in the sum of the terms; the
-            # value, from a zero-padded column, is numpy's bit for bit.
-            u = 2.0 * np.array(x) - 1.0
-            d = chebder(c)
-            assert np.abs(np.array(slope) - chebval(u, d)).max(initial=0.0) <= 1e-14 * np.abs(d).sum()
-            assert t.tolist() == (u - chebval(u, c) / np.array(slope)).tolist()
+            # Values and slopes from cos(j theta) and j sin(j theta) / sin(theta)
+            # are numpy's to rounding in the sum of the terms; the value is
+            # read back from the step.
+            u, slope = 2.0 * np.array(x) - 1.0, np.array(slope)
+            value, exact = chebval(u, c), chebval(u, chebder(c))
+            j = np.arange(c.size)
+            assert np.abs(slope - exact).max(initial=0.0) <= 1e-14 * np.abs(j * c).sum()
+            assert np.abs((u - t) * slope - value).max(initial=0.0) <= 1e-14 * np.abs(c).sum()
+            assert np.abs(t - (u - value / slope)).max(initial=0.0) <= 1e-14
         assert zero_finder._newton_steps(series[:2], [[], []])[1][1] == []
 
     def test_four_fold_minimum(self):
@@ -600,7 +628,8 @@ class TestFindExtrema:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "4-fold function in (1/4, 1/3) did not settle" in captured.err
-        assert f"roots at {zero_finder._PROXY_NODES} and" in captured.err
+        n = zero_finder._PROXY_NODES
+        assert f"roots at {n - 1} and {2 * n - 1} points" in captured.err
 
     def test_one_run_equals_single_interval_calls(self):
         # One run over the 120 intervals with r <= 16, from two fold
