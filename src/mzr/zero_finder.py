@@ -3,7 +3,9 @@
 Each interval (1/k, 1/(k-1)) between consecutive asymptotes is scanned
 through a Chebyshev proxy: the r-fold function with its poles at both
 ends cancelled, which is analytic on the closed interval and has the
-same zeros inside it, interpolated at the 255 interior second-kind
+same zeros inside it, and with the pole at 1/(k+1), the nearest
+singularity outside, which sets how fast its coefficients fall,
+cancelled too.  It is interpolated at the 255 interior second-kind
 Chebyshev points of the interval and at every other one of them.  A
 run's scan evaluates the 255 points of every interval in one fold table,
 which serves every fold count that needs each interval.  Each series is
@@ -283,11 +285,12 @@ def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
     run's largest r, and the 127-point proxy reads every other one of
     them; its values are pointwise, so each proxy is the one its interval
     would get alone.  With the end poles cancelled as the kernel
-    forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), g_r is
-    F_r x^(r // k) (1 - x)^(r // (k - 1)) times a positive constant, in
-    x in [0, 1] across the interval.  Each later step, down to the one
-    Newton step of `_newton_steps`, runs once for the whole run (see the
-    module docstring)."""
+    forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), and the nearest
+    singularity outside, 1 / ((k + 1) s - 1), g_r is F_r x^(r // k)
+    (1 - x)^(r // (k - 1)) (1 + a x)^(r // (k + 1)) times a positive
+    constant, a = (k + 1) / (k - 1), in x in [0, 1] across the interval.
+    Each later step, down to the one Newton step of `_newton_steps`, runs
+    once for the whole run (see the module docstring)."""
     checked = []
     for k, r_values in tasks:
         pairs = [_check_interval(r, k) for r in r_values]
@@ -302,10 +305,11 @@ def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
     pairs, g = [], []
     for i, ((k, r_values), s) in enumerate(zip(tasks, nodes)):
         columns = slice(s.size * i, s.size * (i + 1))
-        below, above = k * s - 1.0, 1.0 - (k - 1) * s
+        below, above, beyond = k * s - 1.0, 1.0 - (k - 1) * s, (k + 1) * s - 1.0
         for r in r_values:
             # Scalar exponents: numpy's fast paths for them set the bits.
-            g.append(table[r][columns] * below ** (r // k) * above ** (r // (k - 1)))
+            g.append(table[r][columns] * below ** (r // k) * above ** (r // (k - 1))
+                     * beyond ** (r // (k + 1)))
             pairs.append((r, k))
     g = np.array(g)
     (_, coarse, coarse_ok), (full, fine, ok) = _proxy_series(g[:, 1::2]), _proxy_series(g)
@@ -386,28 +390,42 @@ def scan_interval(r: int, k: int) -> IntervalScan:
 
     The folds up to r are evaluated once, at the 255 interior second-kind
     Chebyshev points of the interval; the coarse proxy takes every other
-    one of them, 127.  The proxy, with its poles cancelled, is chopped at
-    its coefficient plateau, and its real roots inside the interval are
-    the zero counts.  Each root x of the 255-point proxy gets one Newton
-    step on the full series and is a zero if F changes sign across
-    x -+ 0.45e-12; zeros come in ascending order.  The count is unstable
-    unless both proxies give it, both resolve, neither suspects a tangency
-    and every root passes its check.
+    one of them, 127.  The proxy, with the poles at both ends and the
+    nearest one outside, at 1/(k+1), cancelled, is chopped at its
+    coefficient plateau, and its real roots inside the interval are the
+    zero counts.  Each root x of the 255-point proxy gets one Newton step
+    on the full series and is a zero if F changes sign across x -+ 0.45e-12;
+    zeros come in ascending order.  The count is unstable unless both
+    proxies give it, both resolve, neither suspects a tangency and every
+    root passes its check.
     """
     return _scan_many([(k, [r])])[(r, k)]
 
 
 def _extremum_series(c: np.ndarray, r: int, k: int) -> np.ndarray:
-    """h = x (1 - x) g' - (m_a (1 - x) - m_b x) g, m_a = r // k and
-    m_b = r // (k - 1), for the series c in t = 2x - 1 of the r-fold proxy
-    g of interval k: x^(m_a+1) (1 - x)^(m_b+1) F' times a positive
-    constant, so its roots are the extrema of F and its sign that of F'."""
-    from numpy.polynomial.chebyshev import chebmul, chebsub
+    """h = x (1 - x) (1 + a x) g' - (m_a (1 - x) (1 + a x) - m_b x (1 + a x)
+    + m_c a x (1 - x)) g, a = (k + 1) / (k - 1), m_a = r // k, m_b =
+    r // (k - 1), m_c = r // (k + 1), for the series c in t = 2x - 1 of the
+    r-fold proxy g of interval k: x^(m_a+1) (1 - x)^(m_b+1) (1 + a x)^(m_c+1)
+    F' times a positive constant, so its roots are the extrema of F and its
+    sign that of F'."""
+    m_a, m_b, m_c, a = r // k, r // (k - 1), r // (k + 1), (k + 1) / (k - 1)
+    # In t, x (1 - x) d/dx = (1 - t^2)/2 d/dt, 1 + a x = l0 + l1 t and
+    # m_a (1 - x) - m_b x = p0 + p1 t; with e = (l0 + l1 t) g' - m_c a g / 2
+    # and q = (l0 + l1 t) (p0 + p1 t), h = (e/2 - q0 g) - t (q1 g + t (e/2 + q2 g)).
+    l0, l1, p0, p1 = 1.0 + 0.5 * a, 0.5 * a, 0.5 * (m_a - m_b), -0.5 * (m_a + m_b)
+    g, d = np.concatenate([c, [0.0] * 2]), np.concatenate([_chebder(c), [0.0] * 3])
+    half_e = 0.5 * (l0 * d + l1 * _times_t(d) - 0.5 * m_c * a * g)
+    inner = _times_t(l1 * p1 * g + half_e)
+    return half_e - l0 * p0 * g - _times_t((l0 * p1 + l1 * p0) * g + inner)
 
-    m_a, m_b = r // k, r // (k - 1)
-    # x (1 - x) d/dx = (1 - t^2)/2 d/dt, dt/dx = 2 included, = (T_0 - T_2)/4 d/dt.
-    slope = chebmul([0.25, 0.0, -0.25], _chebder(c))
-    return chebsub(slope, chebmul([(m_a - m_b) / 2, -(m_a + m_b) / 2], c))
+
+def _times_t(c: np.ndarray) -> np.ndarray:
+    """t c for a Chebyshev series c whose top coefficient is zero, at the
+    same length: t T_0 = T_1 and t T_j = (T_(j-1) + T_(j+1)) / 2."""
+    p = 0.5 * np.concatenate([c[1:2], c[:-2] + c[2:], c[-2:-1]])
+    p[1] += 0.5 * c[0]
+    return p
 
 
 def _parity_sums(w: np.ndarray) -> np.ndarray:
@@ -489,8 +507,9 @@ def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
 
     They are the real roots, in the guarded interval, of the zeros'
     Chebyshev proxy g (see `scan_interval`) turned into its exact derivative
-    with the poles' share taken out: h = x (1 - x) g' - (m_a (1 - x) -
-    m_b x) g, m_a = r // k, m_b = r // (k - 1), has the sign of F'.  Each
+    with the three cancelled poles' share taken out, h = x (1 - x) (1 + a x)
+    g' - (m_a (1 - x) (1 + a x) - m_b x (1 + a x) + m_c a x (1 - x)) g
+    (a, m_a, m_b, m_c as in `_extremum_series`), has the sign of F'.  Each
     root of the 255-point proxy gets one Newton step on h from the full
     series; h rising through it marks a minimum.  NonConvergenceError is
     raised unless both proxies give the count, resolve and suspect no

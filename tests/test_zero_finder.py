@@ -391,6 +391,10 @@ class TestChebyshevProxy:
         monkeypatch.setattr(zero_finder, "_chebroots", recorded)
         zero_finder._scan_grid(zero_finder._census_tasks(SCAN_R_MAX))
         assert len(seen) == 2 * 120
+        # The eigenvalue work grows as the cube of the lengths: with the pole
+        # at 1/(k+1) cancelled too the census gives 792,480 (1,353,286 with
+        # the end poles alone).
+        assert sum((len(c) - 1) ** 3 for c in seen) <= 850_000
         rng = np.random.default_rng(11)
         seen += [np.array([0.7]), np.array([0.0]), np.array([0.5, -2.0]), np.array([1.0, 0.5, 2.0])]
         seen += [np.array([0.0, 0.0, 0.0]), np.array([0.5, -2.0, 0.0]), np.array([1.0, 0.5, 2.0, 0.0, 0.0])]
@@ -494,6 +498,31 @@ class TestFindExtrema:
             assert stacked[: d.size, j].tolist() == d.tolist()
             assert not stacked[d.size :, j].any()
 
+    def test_extremum_series_matches_numpy_products(self):
+        # h = x (1 - x) (1 + a x) g' - (m_a (1 - x) (1 + a x) - m_b x (1 + a x)
+        # + m_c a x (1 - x)) g from numpy's products of the linear factors,
+        # in t = 2x - 1, for every (r, k) of a scan.
+        from numpy.polynomial.chebyshev import chebadd, chebder, chebmul, chebsub
+
+        rng = np.random.default_rng(12)
+        x, rest = [0.5, 0.5], [0.5, -0.5]
+        for r in range(2, SCAN_R_MAX + 1):
+            for k in range(2, r + 1):
+                m_a, m_b, m_c, a = r // k, r // (k - 1), r // (k + 1), (k + 1) / (k - 1)
+                near = [1.0 + 0.5 * a, 0.5 * a]
+                for n in rng.integers(1, 60, 3):
+                    c = rng.standard_normal(n) * np.exp(-0.1 * np.arange(n))
+                    slope = chebmul(chebmul(chebmul(x, rest), near), 2.0 * chebder(c))
+                    share = chebadd(
+                        chebsub(m_a * chebmul(rest, near), m_b * chebmul(x, near)),
+                        m_c * a * chebmul(x, rest),
+                    )
+                    want = chebsub(slope, chebmul(share, c))
+                    got = zero_finder._extremum_series(c, r, k)
+                    assert got.shape == (n + 2,)
+                    want = np.concatenate([want, np.zeros(n + 2 - len(want))])
+                    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (r, k, n)
+
     def test_newton_steps_match_numpy(self):
         from numpy.polynomial.chebyshev import chebder, chebval
 
@@ -561,25 +590,10 @@ class TestFindExtrema:
             find_extrema(6, bad)
 
     def test_against_mpmath_derivative(self):
-        # Every extremum for r = 4..8 within 1e-10 of the root of the
+        # Every extremum for r = 4..8 within 1e-13 of the root of the
         # derivative of the recursion at 20 digits (mpmath's zeta and
         # zeta').  Golden-section search on the function left 1.4e-9.
         mpmath = pytest.importorskip("mpmath")
-
-        def derivative(r, x):
-            zs = [mpmath.zeta(i * x) for i in range(1, r + 1)]
-            dzs = [i * mpmath.zeta(i * x, derivative=1) for i in range(1, r + 1)]
-            e, de = [mpmath.mpf(1)], [mpmath.mpf(0)]
-            for j in range(1, r + 1):
-                acc = dacc = 0
-                for i in range(1, j + 1):
-                    sign = (-1) ** (i - 1)
-                    acc += sign * e[j - i] * zs[i - 1]
-                    dacc += sign * (de[j - i] * zs[i - 1] + e[j - i] * dzs[i - 1])
-                e.append(acc / j)
-                de.append(dacc / j)
-            return de[r]
-
         count = 0
         with mpmath.workdps(20):
             for r in range(4, 9):
@@ -587,27 +601,32 @@ class TestFindExtrema:
                     for record in find_extrema(r, k):
                         x = mpmath.mpf(record.abscissa)
                         root = mpmath.findroot(
-                            lambda t: derivative(r, t), (x - 1e-9, x + 1e-9), solver="secant"
+                            lambda t: _mp_derivative(mpmath, r, t),
+                            (x - 1e-9, x + 1e-9),
+                            solver="secant",
                         )
-                        assert abs(float(root) - record.abscissa) <= 1e-10, (r, k)
+                        assert abs(float(root) - record.abscissa) <= 1e-13, (r, k)
                         count += 1
         assert count == 13
 
     def test_sixteen_fold_against_mpmath_derivative(self):
         # The derivative of the recursion at 30 digits changes sign across
-        # every extremum of the 16-fold function, within 1e-12 each side.
+        # every extremum of the r-fold function, r = 9..16, within 1e-13
+        # each side.
         mpmath = pytest.importorskip("mpmath")
         count = 0
         with mpmath.workdps(30):
-            for k in range(2, 17):
-                for record in find_extrema(16, k):
-                    x = mpmath.mpf(record.abscissa)
-                    left = _mp_derivative(mpmath, 16, x - mpmath.mpf("1e-12"))
-                    right = _mp_derivative(mpmath, 16, x + mpmath.mpf("1e-12"))
-                    assert (left < 0 < right) == (record.kind == "minimum"), (k, record)
-                    assert (left > 0 > right) == (record.kind == "maximum"), (k, record)
-                    count += 1
-        assert count == 19
+            for r in range(9, 17):
+                for k in range(2, r + 1):
+                    for record in find_extrema(r, k):
+                        x = mpmath.mpf(record.abscissa)
+                        left = _mp_derivative(mpmath, r, x - mpmath.mpf("1e-13"))
+                        right = _mp_derivative(mpmath, r, x + mpmath.mpf("1e-13"))
+                        minimum, maximum = left < 0 < right, left > 0 > right
+                        assert minimum == (record.kind == "minimum"), (r, k, record)
+                        assert maximum == (record.kind == "maximum"), (r, k, record)
+                        count += 1
+        assert count == 95
 
     def test_every_interval_settles_and_noise_raises(self, capsys, monkeypatch):
         records = {
