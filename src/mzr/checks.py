@@ -256,8 +256,8 @@ def pole_side_parity() -> Check:
 
 
 def fold_scans(r_max: int) -> dict[tuple[int, int], IntervalScan]:
-    """Every interval scan for r = 2..r_max, as the census run: two fold
-    tables."""
+    """Every interval scan for r = 2..r_max, as the census run: a fold
+    table per proxy round and one for the root checks."""
     return _scan_many(_census_tasks(r_max))
 
 

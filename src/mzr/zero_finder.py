@@ -5,22 +5,27 @@ through a Chebyshev proxy: the r-fold function with its poles at both
 ends cancelled, which is analytic on the closed interval and has the
 same zeros inside it, and with the pole at 1/(k+1), the nearest
 singularity outside, which sets how fast its coefficients fall,
-cancelled too.  It is interpolated at the 255 interior second-kind
-Chebyshev points of the interval and at every other one of them.  A
-run's scan evaluates the 255 points of every interval in one fold table,
-which serves every fold count that needs each interval.  Each series is
-chopped at its coefficient plateau (Aurentz & Trefethen, ACM TOMS 43,
-2017) and its roots are colleague-matrix eigenvalues (Boyd, SIAM J.
-Numer. Anal. 40, 2002).  Each root of the 255-point proxy is polished by
-one Newton step on the full series, and the roots of all intervals of a
-run are checked together in one more fold table: a root is a zero if the
-function changes sign across its 0.9e-12-wide bracket, and its residual
-is |F| at the root.  A count that differs between the two proxies, an
-unresolved proxy, a near-real root pair (a possible even-order zero) or
-a root that fails its check is flagged instead of trusted.
+cancelled too.  It is interpolated at the 2n - 1 interior second-kind
+Chebyshev points of the interval and at every other one of them, n - 1,
+for n = 32, 64, 128 in turn: each (r, k) settles at the first n where
+both proxies resolve, as Chebfun grows its interpolants (Aurentz &
+Trefethen, ACM TOMS 43, 2017), or at 128.  The points of n are every
+other one of 2n, so no point is evaluated twice, and each round of a
+run's scan evaluates the new points of every interval with a pending
+(r, k) in one fold table, which serves every fold count that needs it.
+Each series is chopped at its coefficient plateau and its roots are
+colleague-matrix eigenvalues (Boyd, SIAM J. Numer. Anal. 40, 2002).
+Each root of the larger settled proxy is polished by one Newton step on
+the full series, and the roots of all intervals of a run are checked
+together in one more fold table: a root is a zero if the function
+changes sign across its 0.9e-12-wide bracket, and its residual is |F| at
+the root.  A count that differs between the two proxies, an unresolved
+proxy, a near-real root pair (a possible even-order zero) or a root that
+fails its check is flagged instead of trusted.
 
 The proxy-root stage works on a run at once, not interval by interval:
-one FFT per point count over the stacked proxies, one eigenvalue call
+one FFT per point count and round over the stacked proxies still
+pending, then, on the settled series, one eigenvalue call
 per colleague-matrix size, one pass of the interval and near-real-pair
 tests over all their roots, and one Newton step down the zero-padded
 columns of all its series.  Each step gives every proxy the bits it
@@ -28,9 +33,9 @@ would get alone, so a record does not depend on the run it belongs to.
 
 Extrema are the roots of the same proxy's exact derivative, found by the
 same root stage and polished by the same Newton step; like a run's
-zeros, a run's extrema come from two fold tables, the proxy points and
-the values at every extremum.  An unsettled extremum count raises
-NonConvergenceError.
+zeros, a run's extrema come from the proxy points' fold tables, one per
+round, and one more for the values at every extremum.  An unsettled
+extremum count raises NonConvergenceError.
 """
 from __future__ import annotations
 
@@ -60,10 +65,10 @@ SCAN_R_MAX = 16
 # Widest bracket of a zero, and the default bracket tolerance.
 BRACKET_WIDTH = 1e-12
 
-# The Chebyshev proxy: n of its grids, the interior second-kind points of
-# n and of 2n (n - 1 and 2n - 1), the chop level relative to the largest
-# coefficient, and the share of the interval below which two roots are
-# one suspected tangency.
+# The Chebyshev proxy: the largest n of its grids, the interior
+# second-kind points of n and of 2n (n - 1 and 2n - 1), the chop level
+# relative to the largest coefficient, and the share of the interval below
+# which two roots are one suspected tangency.
 _PROXY_NODES = 128
 _CHOP = 1e-10
 _TANGENCY_GAP = 1e-3
@@ -140,18 +145,21 @@ class ExtremumRecord:
 class IntervalScan:
     """Scan result for one interval; iterates as a sequence of ZeroRecord.
 
-    grid_counts holds the real root counts of the Chebyshev proxy at 127
-    and at 255 points.  count_stable records whether the count can be
-    trusted: the two counts agree, both proxies are resolved, no tangency
-    is suspected and every root was bracketed.  tangency_suspects are the
-    abscissas of near-real conjugate root pairs and of real root pairs
-    closer than a thousandth of the interval: possible even-order zeros.
+    grid_counts holds the real root counts of the two Chebyshev proxies
+    the interval settled on, at grid_points points: (31, 63), (63, 127) or
+    (127, 255), the first pair at which both proxies resolve, or the last.
+    count_stable records whether the count can be trusted: the two counts
+    agree, both proxies are resolved, no tangency is suspected and every
+    root was bracketed.  tangency_suspects are the abscissas of near-real
+    conjugate root pairs and of real root pairs closer than a thousandth
+    of the interval: possible even-order zeros.
     """
 
     r: int
     k: int
     zeros: tuple[ZeroRecord, ...]
     grid_counts: tuple[int, ...]
+    grid_points: tuple[int, ...]
     count_stable: bool
     tangency_suspects: tuple[float, ...]
 
@@ -275,18 +283,21 @@ def _interval_roots(eigen, bounds) -> list[tuple[list[float], list[float]]]:
 
 
 def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
-    """The proxy-root stage of a run, from one fold table: for every task
-    (k, r_values), in order, and every fold count in it, in ascending r,
-    its IntervalScan without zeros, the roots of its 255-point proxy g (or
-    of series(g, r, k)) in the guarded interval, each after one Newton
-    step on the full series, and the slopes that step used.
+    """The proxy-root stage of a run: for every task (k, r_values), in
+    order, and every fold count in it, in ascending r, its IntervalScan
+    without zeros, the roots of its settled (2n - 1)-point proxy g (or of
+    series(g, r, k)) in the guarded interval, each after one Newton step on
+    the full series, and the slopes that step used.
 
-    The table holds the 255 proxy points of each interval in turn, at the
-    run's largest r, and the 127-point proxy reads every other one of
-    them; its values are pointwise, so each proxy is the one its interval
-    would get alone.  With the end poles cancelled as the kernel
-    forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), and the nearest
-    singularity outside, 1 / ((k + 1) s - 1), g_r is F_r x^(r // k)
+    The proxies grow in rounds, n = 32, 64, 128: the 2n - 1 points of n are
+    every other one of 2n, so each round's fold table, at the largest
+    pending r, holds only the new points of the intervals with a pending
+    (r, k), and the (n - 1)-point proxy reads every other point.  An (r, k)
+    settles at the first n where both of its proxies resolve, or at 128
+    whatever they give.  Table values are pointwise, so each (r, k) gets the
+    proxies and the n it would get alone.  With the end poles cancelled as
+    the kernel forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), and the
+    nearest singularity outside, 1 / ((k + 1) s - 1), g_r is F_r x^(r // k)
     (1 - x)^(r // (k - 1)) (1 + a x)^(r // (k + 1)) times a positive
     constant, a = (k + 1) / (k - 1), in x in [0, 1] across the interval.
     Each later step, down to the one Newton step of `_newton_steps`, runs
@@ -297,38 +308,53 @@ def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
         if not pairs:
             raise ParameterRangeError("need at least one fold count")
         checked.append((pairs[0][1], sorted({r for r, _ in pairs})))
-    if not checked:
+    pairs = [(r, k) for k, r_values in checked for r in r_values]
+    if not pairs:
         return []
-    tasks = checked
-    nodes = [_proxy_nodes(k, 2 * _PROXY_NODES) for k, _ in tasks]
-    table = _fold_table(max(max(r_values) for _, r_values in tasks), np.concatenate(nodes))
-    pairs, g = [], []
-    for i, ((k, r_values), s) in enumerate(zip(tasks, nodes)):
-        columns = slice(s.size * i, s.size * (i + 1))
-        below, above, beyond = k * s - 1.0, 1.0 - (k - 1) * s, (k + 1) * s - 1.0
-        for r in r_values:
+    # At n = 16 only (2, 2) resolves, so the first round is n = 32.
+    proxies, pending, g, n = [None] * len(pairs), list(range(len(pairs))), None, _PROXY_NODES // 4
+    while pending:
+        # Round one takes all 2n - 1 points of each interval, later ones the
+        # n points between those of the round before.
+        size, step = (2 * n - 1, 1) if g is None else (n, 2)
+        nodes = {k: _proxy_nodes(k, 2 * n)[::step] for k in dict.fromkeys(pairs[i][1] for i in pending)}
+        table = _fold_table(max(pairs[i][0] for i in pending), np.concatenate(list(nodes.values())))
+        start = {k: j * size for j, k in enumerate(nodes)}
+        poles = {k: (k * s - 1.0, 1.0 - (k - 1) * s, (k + 1) * s - 1.0) for k, s in nodes.items()}
+        new = []
+        for r, k in (pairs[i] for i in pending):
+            below, above, beyond = poles[k]
             # Scalar exponents: numpy's fast paths for them set the bits.
-            g.append(table[r][columns] * below ** (r // k) * above ** (r // (k - 1))
-                     * beyond ** (r // (k + 1)))
-            pairs.append((r, k))
-    g = np.array(g)
-    (_, coarse, coarse_ok), (full, fine, ok) = _proxy_series(g[:, 1::2]), _proxy_series(g)
+            new.append(table[r][start[k] : start[k] + size] * below ** (r // k)
+                       * above ** (r // (k - 1)) * beyond ** (r // (k + 1)))
+        if g is None:
+            g = np.array(new)
+        else:
+            g, old = np.empty((len(pending), 2 * n - 1)), g
+            g[:, ::2], g[:, 1::2] = new, old
+        (_, coarse, coarse_ok), (full, fine, ok) = _proxy_series(g[:, 1::2]), _proxy_series(g)
+        done = (np.array(coarse_ok) & ok) | (n == _PROXY_NODES)
+        for j in np.flatnonzero(done).tolist():
+            proxies[pending[j]] = full[j], coarse[j], fine[j], coarse_ok[j] and ok[j], (n - 1, 2 * n - 1)
+        pending, g, n = [i for i, d in zip(pending, done) if not d], g[~done], 2 * n
+    full, coarse, fine, ok, points = zip(*proxies)
     if series is not None:
         full, coarse, fine = (
             [series(f, r, k) for f, (r, k) in zip(rows, pairs)] for rows in (full, coarse, fine)
         )
     widths = [1.0 / (k - 1) - 1.0 / k for _, k in pairs]
     bounds = [[(b - 1.0 / k) / w for b in _interval_bounds(k)] for (_, k), w in zip(pairs, widths)]
-    filtered = _interval_roots(_chebroots(coarse + fine), bounds + bounds)
+    filtered = _interval_roots(_chebroots([*coarse, *fine]), bounds + bounds)
     scans, roots = [], []
     for i, ((r, k), width) in enumerate(zip(pairs, widths)):
         (coarse_x, coarse_suspects), (fine_x, suspects) = filtered[i], filtered[len(pairs) + i]
-        settled = len(coarse_x) == len(fine_x) and coarse_ok[i] and ok[i]
+        settled = len(coarse_x) == len(fine_x) and ok[i]
         scans.append(IntervalScan(
             r=r,
             k=k,
             zeros=(),
             grid_counts=(len(coarse_x), len(fine_x)),
+            grid_points=points[i],
             count_stable=settled and not (coarse_suspects or suspects),
             tangency_suspects=tuple(1.0 / k + width * x for x in suspects),
         ))
@@ -370,10 +396,10 @@ def _refine_scans(proxy_scans, tol: float = BRACKET_WIDTH) -> list[IntervalScan]
 
 
 def _scan_many(tasks, tol: float = BRACKET_WIDTH) -> dict[tuple[int, int], IntervalScan]:
-    """Scan many intervals from two fold tables.  Each task is (k, fold
+    """Scan many intervals from shared fold tables.  Each task is (k, fold
     counts) and scans interval k once for all of them; the proxy points of
-    every interval share the first table, and every root of the run is
-    checked at +-0.45 tol in the second.  Results are keyed by (r, k), in
+    every interval share one table per round, and every root of the run is
+    checked at +-0.45 tol in one more.  Results are keyed by (r, k), in
     task order."""
     return {(scan.r, scan.k): scan for scan in _refine_scans(_scan_grid(tasks), tol)}
 
@@ -388,16 +414,18 @@ def scan_interval(r: int, k: int) -> IntervalScan:
     """Locate and refine every zero of the r-fold function in (1/k, 1/(k-1)):
     the one-task case of a run's scan.
 
-    The folds up to r are evaluated once, at the 255 interior second-kind
-    Chebyshev points of the interval; the coarse proxy takes every other
-    one of them, 127.  The proxy, with the poles at both ends and the
-    nearest one outside, at 1/(k+1), cancelled, is chopped at its
-    coefficient plateau, and its real roots inside the interval are the
-    zero counts.  Each root x of the 255-point proxy gets one Newton step
-    on the full series and is a zero if F changes sign across x -+ 0.45e-12;
-    zeros come in ascending order.  The count is unstable unless both
-    proxies give it, both resolve, neither suspects a tangency and every
-    root passes its check.
+    The folds up to r are evaluated at the 63 interior second-kind
+    Chebyshev points of the interval, then at 64 and 128 more between
+    them while a proxy is unresolved; the coarse proxy takes every other
+    point, and the counts come from the first pair that both resolve, 31
+    and 63 points up to 127 and 255 (see `IntervalScan.grid_points`).  The
+    proxy, with the poles at both ends and the nearest one outside, at
+    1/(k+1), cancelled, is chopped at its coefficient plateau, and its real
+    roots inside the interval are the zero counts.  Each root x of the
+    larger proxy gets one Newton step on the full series and is a zero if
+    F changes sign across x -+ 0.45e-12; zeros come in ascending order.
+    The count is unstable unless both proxies give it, both resolve,
+    neither suspects a tangency and every root passes its check.
     """
     return _scan_many([(k, [r])])[(r, k)]
 
@@ -476,8 +504,8 @@ def _newton_steps(series, roots) -> list[tuple[np.ndarray, list[float]]]:
 
 def _extrema(tasks) -> dict[tuple[int, int], tuple[ExtremumRecord, ...]]:
     """The extrema of every task (k, r_values) of a run, keyed by (r, k) in
-    task order, from two fold tables: the proxy-root stage on
-    `_extremum_series`, then the value at every extremum of the run.  An
+    task order: the proxy-root stage on `_extremum_series`, then the value
+    at every extremum of the run from one more fold table.  An
     extremum is a minimum if h rises through it.  NonConvergenceError
     names the first (r, k), in task order, whose count is not stable."""
     found = _scan_grid(tasks, _extremum_series)
@@ -486,7 +514,7 @@ def _extrema(tasks) -> dict[tuple[int, int], tuple[ExtremumRecord, ...]]:
             raise NonConvergenceError(
                 f"extrema of the {scan.r}-fold function in (1/{scan.k}, 1/{scan.k - 1}) "
                 f"did not settle: {scan.grid_counts[0]} and {scan.grid_counts[1]} roots "
-                f"at {_PROXY_NODES - 1} and {2 * _PROXY_NODES - 1} points"
+                f"at {scan.grid_points[0]} and {scan.grid_points[1]} points"
             )
     r = np.array([scan.r for scan, xs, _ in found for _ in xs], dtype=int)
     x = np.array([a for _, xs, _ in found for a in xs], dtype=float)
@@ -503,16 +531,17 @@ def _extrema(tasks) -> dict[tuple[int, int], tuple[ExtremumRecord, ...]]:
 def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     """Locate the local extrema of the r-fold function in (1/k, 1/(k-1)):
     the one-task case of a run's extrema, which, like its zeros, come from
-    two fold tables.
+    the proxy's fold tables and one more for the values.
 
     They are the real roots, in the guarded interval, of the zeros'
     Chebyshev proxy g (see `scan_interval`) turned into its exact derivative
     with the three cancelled poles' share taken out, h = x (1 - x) (1 + a x)
     g' - (m_a (1 - x) (1 + a x) - m_b x (1 + a x) + m_c a x (1 - x)) g
-    (a, m_a, m_b, m_c as in `_extremum_series`), has the sign of F'.  Each
-    root of the 255-point proxy gets one Newton step on h from the full
-    series; h rising through it marks a minimum.  NonConvergenceError is
+    (a, m_a, m_b, m_c as in `_extremum_series`), has the sign of F'.  The
+    point counts are those g settles on.  Each root of the larger proxy
+    gets one Newton step on h from the full series; h rising through it
+    marks a minimum.  NonConvergenceError, naming the point counts, is
     raised unless both proxies give the count, resolve and suspect no
-    tangency.  Values come from the second table; records ascend.
+    tangency.  Values come from the last table; records ascend.
     """
     return _extrema([(k, [r])])[(r, k)]

@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, determinism, and the
 JSON report shapes."""
 import json
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +281,13 @@ class TestCensus:
         for report in payload["reports"]:
             assert report["empirical_total"] == report["predicted_total"]
             assert all(item["agree"] for item in report["per_interval"])
+
+    def test_census_to_sixteen_is_pinned(self, capsys):
+        # Every count, total and estimate of the census to 16, byte for
+        # byte as committed in tests/data.
+        code, out, _ = run(capsys, "census", "--r-max", "16")
+        assert code == 0
+        assert out.encode() == (Path(__file__).parent / "data" / "census_r16.json").read_bytes()
 
     def test_r_max_validation(self, capsys):
         code, _, _ = run(capsys, "census", "--r-max", "1")

@@ -67,6 +67,14 @@ class TestBernoulli:
         with pytest.raises(ParameterRangeError):
             bernoulli(bad)
 
+    def test_table_equals_the_recurrence(self):
+        # The defining recurrence solved for each B_n in exact rationals,
+        # independent of the tangent numbers the table is built from.
+        values = [Fraction(1)]
+        for n in range(1, 2 * M_MAX + 1):
+            values.append(-sum(math.comb(n + 1, j) * values[j] for j in range(n)) / (n + 1))
+        assert [bernoulli(n) for n in range(2 * M_MAX + 1)] == values
+
 
 class TestClassicalValues:
     def test_even_integer_closed_forms(self):

@@ -236,9 +236,11 @@ class TestScanFolds:
         for (r, _), scan in scans.items():
             assert scan == scan_interval(r, k), (r, k)
 
-    def test_a_run_makes_two_fold_tables(self, capsys, monkeypatch):
-        # One table over the proxy points of every interval of the run, one
-        # over every root check or extremum value.
+    def test_a_run_makes_its_scan_and_check_tables(self, capsys, monkeypatch):
+        # The proxies grow in rounds: one table over 63 points of every
+        # interval, one over 64 new points of each interval with a pending
+        # (r, k) (at r <= 16 every count settles on 63 or 127 points), then
+        # one over every root check or extremum value.
         sizes = []
         kernel = multizeta_module._zeta_rows
 
@@ -247,21 +249,19 @@ class TestScanFolds:
             return kernel(r, s)
 
         monkeypatch.setattr(multizeta_module, "_zeta_rows", counted)
-        assert main(["census", "--r-max", "8"]) == 0
-        assert len(sizes) == 2
-        assert sizes[0] == 7 * (2 * zero_finder._PROXY_NODES - 1)
-        sizes.clear()
         assert main(["zeros", "--r", "16"]) == 0
-        assert len(sizes) == 2
-        assert sizes[0] == 15 * (2 * zero_finder._PROXY_NODES - 1)
+        assert sizes == [15 * 63, 4 * 64, 34 * 3]
+        assert sum(sizes[:2]) == 1201
+        sizes.clear()
+        assert main(["census", "--r-max", "8"]) == 0
+        assert sizes == [7 * 63, 1 * 64, 41 * 3]
         sizes.clear()
         assert main(["extrema", "--r", "16"]) == 0
-        assert len(sizes) == 2
-        assert sizes[0] == 15 * (2 * zero_finder._PROXY_NODES - 1)
+        assert sizes == [15 * 63, 4 * 64, 19]
         capsys.readouterr()
         sizes.clear()
         checks.fold_scans(8)
-        assert len(sizes) == 2
+        assert sizes == [7 * 63, 1 * 64, 41 * 3]
 
     def test_run_zeros_equal_single_interval_runs(self, capsys):
         # `zeros --r 16` scans its fifteen intervals from one table; its
@@ -297,10 +297,27 @@ class TestScanFolds:
 ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json"
 
 
+def _filter_alone(z, x_lo, x_hi):
+    """`_interval_roots` for one root array z in t = 2x - 1, series by
+    series: the real roots in (x_lo, x_hi), and the suspects."""
+    x = 0.5 * (1.0 + z)
+    x = x[(x_lo < x.real) & (x.real < x_hi)]
+    suspects = [float(v.real) for v in x if 0.0 < v.imag < 0.5 * zero_finder._TANGENCY_GAP]
+    roots = []
+    for v in np.sort(x.real[x.imag == 0.0]).tolist():
+        if roots and v - roots[-1] < zero_finder._TANGENCY_GAP:
+            suspects.append(0.5 * (roots.pop() + v))
+        else:
+            roots.append(v)
+    return roots, sorted(suspects)
+
+
 class TestChebyshevProxy:
     @pytest.mark.parametrize("k", range(2, SCAN_R_MAX + 1))
     def test_counts_are_the_conjecture_and_resolved(self, k, monkeypatch):
-        # One stacked DCT per node count, one row per fold count.
+        # One stacked series call per point count and round, one row per
+        # pending fold count: a round takes the rows the round before did
+        # not resolve on both proxies, and the last round resolves them all.
         resolved = []
         proxy_series = zero_finder._proxy_series
 
@@ -315,8 +332,37 @@ class TestChebyshevProxy:
             (r // k, r // k) for r in range(k, SCAN_R_MAX + 1)
         ]
         assert all(scan.count_stable for scan in scans)
-        assert [len(rows) for rows in resolved] == [len(scans)] * 2
-        assert all(all(rows) for rows in resolved)
+        rounds = list(zip(resolved[::2], resolved[1::2]))
+        assert len(resolved) == 2 * len(rounds) and len(rounds[0][0]) == len(scans)
+        for (coarse, fine), (pending, _) in zip(rounds, rounds[1:]):
+            assert len(pending) == sum(not (a and b) for a, b in zip(coarse, fine))
+        assert all(rounds[-1][0]) and all(rounds[-1][1])
+
+    def test_adaptive_counts_equal_the_fixed_proxies(self):
+        # Every (r, k) with r <= 16 settles on 63 or 127 points, with the
+        # counts, stability and suspects the 127- and 255-point proxies
+        # give it: those read from one 255-point table per (r, k).
+        scans = [scan for scan, _, _ in zero_finder._scan_grid(zero_finder._census_tasks(SCAN_R_MAX))]
+        assert len(scans) == 120
+        for scan in scans:
+            r, k = scan.r, scan.k
+            s = zero_finder._proxy_nodes(k, 2 * zero_finder._PROXY_NODES)
+            g = zero_finder._fold_table(r, s)[r] * (k * s - 1.0) ** (r // k)
+            g = g * (1.0 - (k - 1) * s) ** (r // (k - 1)) * ((k + 1) * s - 1.0) ** (r // (k + 1))
+            width = 1.0 / (k - 1) - 1.0 / k
+            x_lo, x_hi = ((b - 1.0 / k) / width for b in zero_finder._interval_bounds(k))
+            counts, suspects, resolved = [], [], []
+            for values in (g[1::2], g):
+                _, (chopped,), (ok,) = zero_finder._proxy_series(values[None])
+                roots, near = _filter_alone(zero_finder._chebroots([chopped])[0], x_lo, x_hi)
+                counts.append(len(roots))
+                suspects.append(near)
+                resolved.append(ok)
+            assert scan.grid_counts == tuple(counts), (r, k)
+            stable = counts[0] == counts[1] and all(resolved) and not any(suspects)
+            assert scan.count_stable == stable, (r, k)
+            assert scan.tangency_suspects == tuple(1.0 / k + width * x for x in suspects[1])
+            assert scan.grid_points in ((31, 63), (63, 127)), (r, k)
 
     @pytest.mark.parametrize("k", range(2, R_MAX + 1))
     def test_nodes_clear_the_pole_guard(self, k):
@@ -411,18 +457,6 @@ class TestChebyshevProxy:
         # random ones with near-real pairs, close real pairs and roots on
         # either side of the bounds: the one-pass filter gives each array
         # what the filter of that array alone gives it, bits and order.
-        def alone(z, x_lo, x_hi):
-            x = 0.5 * (1.0 + z)
-            x = x[(x_lo < x.real) & (x.real < x_hi)]
-            suspects = [float(v.real) for v in x if 0.0 < v.imag < 0.5 * zero_finder._TANGENCY_GAP]
-            roots = []
-            for v in np.sort(x.real[x.imag == 0.0]).tolist():
-                if roots and v - roots[-1] < zero_finder._TANGENCY_GAP:
-                    suspects.append(0.5 * (roots.pop() + v))
-                else:
-                    roots.append(v)
-            return roots, sorted(suspects)
-
         runs = []
         stacked = zero_finder._interval_roots
 
@@ -444,7 +478,7 @@ class TestChebyshevProxy:
                 eigen.append(np.sort(z.real if rng.random() < 0.3 else z))
             runs.append((eigen, [sorted(rng.uniform(0.0, 1.0, 2)) for _ in eigen]))
         for eigen, bounds in runs:
-            want = [alone(z, x_lo, x_hi) for z, (x_lo, x_hi) in zip(eigen, bounds)]
+            want = [_filter_alone(z, x_lo, x_hi) for z, (x_lo, x_hi) in zip(eigen, bounds)]
             assert stacked(eigen, bounds) == want
 
     def test_zeros_match_the_mpmath_oracle(self):
@@ -647,8 +681,14 @@ class TestFindExtrema:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "4-fold function in (1/4, 1/3) did not settle" in captured.err
+        # Noise resolves on no proxy, so the scan stops at the largest.
         n = zero_finder._PROXY_NODES
         assert f"roots at {n - 1} and {2 * n - 1} points" in captured.err
+        # A triple zero of F is a double root of F': both of the smallest
+        # proxies resolve it, suspect a tangency there and name their points.
+        _inject_folds(monkeypatch, lambda s: (s - 0.7) ** 3 / ((2 * s - 1) * (1 - s) ** 2))
+        with pytest.raises(NonConvergenceError, match=r"\(1/2, 1/1\) .* at 31 and 63 points"):
+            find_extrema(2, 2)
 
     def test_one_run_equals_single_interval_calls(self):
         # One run over the 120 intervals with r <= 16, from two fold
