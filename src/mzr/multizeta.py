@@ -48,6 +48,10 @@ R_MAX = 32
 def nearest_pole(r: int, s: float) -> tuple[int, int] | None:
     """Return (k, order) if s lies within the guard radius of a pole 1/k of
     the r-fold function, else None."""
+    return _nearest_pole(_check_int(r, "fold count", 1, R_MAX), s)
+
+
+def _nearest_pole(r: int, s: float) -> tuple[int, int] | None:
     for k in range(1, r + 1):
         if abs(s - 1.0 / k) < POLE_GUARD_RADIUS:
             return k, r // k
@@ -59,7 +63,7 @@ def _check_abscissa(r: int, s: float) -> None:
         raise DomainError(f"abscissa must be finite, got {s!r}")
     if s < 0.0:
         raise DomainError(f"negative axis is out of scope (s = {s!r})")
-    hit = nearest_pole(r, s)
+    hit = _nearest_pole(r, s)
     if hit is not None:
         raise PoleProximityError(k=hit[0], order=hit[1], s=s)
 

@@ -358,6 +358,11 @@ class TestPoleGuard:
         assert nearest_pole(3, 0.5 + 5e-9) == (2, 1)
         assert nearest_pole(3, 0.75) is None
         assert nearest_pole(2, 1.0) == (1, 2)
+        assert nearest_pole(np.int64(3), 0.5) == (2, 1)
+        assert nearest_pole(R_MAX, 1.0 / R_MAX) == (R_MAX, 1)
+        for r in (2.5, 0, True, R_MAX + 1):
+            with pytest.raises(ParameterRangeError, match="fold count"):
+                nearest_pole(r, 1.0)
 
 
 class TestClosedForms:

@@ -1,8 +1,13 @@
 """The README's library example runs as printed, its list of the public
-surface names only what the package exports, and the package exports
-exactly the public names of its modules."""
+surface names only what the package exports, the package exports exactly
+the public names of its modules, and `import mzr` loads only the modules
+a value needs."""
 import importlib
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import mzr
@@ -39,3 +44,31 @@ def test_package_exports_the_public_names_of_its_modules():
     assert isinstance(mzr.__version__, str)
     for name, value in homes.items():
         assert getattr(mzr, name) is value, name
+
+
+def test_a_value_imports_only_its_modules():
+    # A fresh interpreter: this one has imported every module already.
+    script = textwrap.dedent("""
+        import sys
+        import mzr
+
+        assert set(mzr.__all__) <= set(dir(mzr))
+        mzr.multizeta(2, 2.0)
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "mzr")
+        assert loaded == ["mzr", "mzr.errors", "mzr.multizeta", "mzr.riemann_kernel"], loaded
+        try:
+            mzr.no_such_name
+        except AttributeError:
+            pass
+        else:
+            raise AssertionError("mzr.no_such_name resolved")
+        assert mzr.zero_finder.scan_interval is mzr.scan_interval
+        namespace = {}
+        exec("from mzr import *", namespace)
+        assert [name for name in mzr.__all__ if name not in namespace] == []
+    """)
+    src = str(Path(mzr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
