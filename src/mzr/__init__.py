@@ -44,9 +44,9 @@ __version__ = "0.1.0"
 _LAZY = {
     name: module
     for module, names in {
-        "asymptotics": ("NUMERIC_R_MAX", "PoleSpec", "coefficient_closed_form",
-                        "coefficient_numeric", "coefficient_recursive",
-                        "periodicity_check", "pole_side_signs", "pole_spec"),
+        "asymptotics": ("PoleSpec", "coefficient_closed_form", "coefficient_numeric",
+                        "coefficient_recursive", "periodicity_check", "pole_side_signs",
+                        "pole_spec"),
         "zero_finder": ("BRACKET_WIDTH", "SCAN_R_MAX", "ExtremumRecord", "IntervalScan",
                         "ZeroRecord", "delta_exclusion", "find_extrema", "scan_interval"),
         "census": ("EULER_GAMMA", "CensusReport", "IntervalCount", "census_report",

@@ -7,20 +7,20 @@ Three routes to the same constant are kept deliberately separate:
   of k, and a single lower-fold value at 1/k);
 * `coefficient_recursive`   -- the recursion the closed forms are proved
   from, restricted to terms sharing the maximal pole order;
-* `coefficient_numeric`     -- Richardson extrapolation of the multiplied
-  singularity, no formula input at all.
+* `coefficient_numeric`     -- the ends of the zeros' Chebyshev proxy,
+  which cancels the poles at both ends of an interval: no formula input.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import NonConvergenceError, ParameterRangeError, _check_int
+from .errors import ParameterRangeError, _check_int
 from .multizeta import R_MAX, multizeta
 from .riemann_kernel import riemann_zeta
+from .zero_finder import SCAN_R_MAX, _proxy_ends
 
 __all__ = [
-    "NUMERIC_R_MAX",
     "PoleSpec",
     "pole_spec",
     "coefficient_closed_form",
@@ -29,15 +29,6 @@ __all__ = [
     "periodicity_check",
     "pole_side_signs",
 ]
-
-# The numeric limit extraction starts its abscissa ladder at 1/k + 1e-2;
-# for k <= 10 that still lies inside (1/k, 1/(k-1)), for larger k it would
-# step over the neighbouring pole, hence the cap.
-NUMERIC_R_MAX = 10
-
-_EPS_START = 1e-2
-_RICHARDSON_DEPTH = 6
-_CONVERGENCE_REL = 1e-2
 
 
 def _check_rk(r: int, k: int) -> tuple[int, int]:
@@ -130,44 +121,19 @@ def coefficient_recursive(r: int, k: int) -> float:
 
 
 def coefficient_numeric(r: int, k: int) -> float:
-    """C_r(k) by pure limit extraction: evaluate
-
-        g(eps) = zeta_r(1/k + eps) * (k * eps)^floor(r/k)
-
-    on the halving ladder eps = 1e-2, 5e-3, ... and Richardson-extrapolate
-    (the correction series is a Taylor series in eps).  Raises
-    NonConvergenceError when the last two extrapolants differ by more than
-    1e-2 relative, rather than returning a doubtful number.
+    """C_r(k) read off the zeros' Chebyshev proxy of an interval, for
+    r <= SCAN_R_MAX: the r-fold function with the poles at both ends
+    cancelled, so analytic on the closed interval, whose series at an end
+    gives that end's constant once the cancelled factors are divided out
+    (see `zero_finder.scan_interval`).  C_r(k) for k >= 2 comes from the
+    lower end of (1/k, 1/(k-1)), C_r(1) from the upper end of (1/2, 1).
+    Raises NonConvergenceError when the proxy does not resolve, rather than
+    returning a doubtful number.
     """
-    r, k = _check_rk(r, k)
-    if r > NUMERIC_R_MAX:
-        raise ParameterRangeError(
-            f"numeric extraction supports fold counts up to {NUMERIC_R_MAX}, got {r}"
-        )
-    order = r // k
-    ladder = [_EPS_START / 2 ** i for i in range(_RICHARDSON_DEPTH)]
-    rows = [
-        [multizeta(r, 1.0 / k + eps) * (k * eps) ** order for eps in ladder]
-    ]
-    for level in range(1, _RICHARDSON_DEPTH):
-        prev = rows[-1]
-        factor = 2.0 ** level
-        rows.append(
-            [
-                (factor * prev[i + 1] - prev[i]) / (factor - 1.0)
-                for i in range(len(prev) - 1)
-            ]
-        )
-    diagonal = tuple(row[-1] for row in rows)
-    last, prior = diagonal[-1], diagonal[-2]
-    scale = max(abs(last), 1e-300)
-    if abs(last - prior) > _CONVERGENCE_REL * scale:
-        raise NonConvergenceError(
-            f"extrapolated limit for ({r}, {k}) did not settle: "
-            f"last two estimates {prior!r} and {last!r}",
-            estimates=diagonal,
-        )
-    return last
+    r = _check_int(r, "fold count", 1, SCAN_R_MAX)
+    k = _check_int(k, "pole index", 1, r)
+    lower, upper = _proxy_ends(r, max(k, 2))
+    return lower if k >= 2 else upper
 
 
 def pole_spec(r: int, k: int) -> PoleSpec:

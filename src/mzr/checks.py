@@ -34,7 +34,7 @@ from .census import (
 from .multizeta import R_MAX, closed_form, multizeta, multizeta_grid, truncated_euler_zagier
 from .riemann_kernel import _GRID_TERMS, _direct_terms, _tail, _zeta_rows
 from .riemann_kernel import riemann_zeta, riemann_zeta_alternating
-from .zero_finder import IntervalScan, _census_tasks, _interval_bounds, _scan_many
+from .zero_finder import SCAN_R_MAX, IntervalScan, _census_tasks, _interval_bounds, _scan_many
 
 _REFERENCE_CELLS = 4 * (4096 - 1)
 
@@ -215,14 +215,14 @@ def constant_signs() -> Check:
 
 def numeric_constants() -> Check:
     worst = 0.0
-    for r in range(1, 9):
+    for r in range(1, SCAN_R_MAX + 1):
         for k in range(1, r + 1):
             num = coefficient_numeric(r, k)
             cf = coefficient_closed_form(r, k)
             worst = max(worst, abs(num - cf) / abs(cf))
     return Check(
-        "numeric limit extraction (r <= 8)",
-        worst <= 1e-2,
+        f"closed-form vs proxy-end constants (r <= {SCAN_R_MAX})",
+        worst <= 1e-12,
         f"max rel diff {worst:.3e}",
     )
 

@@ -265,7 +265,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--numeric-check",
         action="store_true",
-        help="also extract each constant numerically",
+        help="also read each constant off the ends of the zeros' Chebyshev proxy",
     )
     p.set_defaults(func=_cmd_poles)
 

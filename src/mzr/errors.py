@@ -46,12 +46,8 @@ class IncompleteInputError(ValueError):
 
 
 class NonConvergenceError(ArithmeticError):
-    """An extrapolated limit or a proxy count failed its self-consistency
-    test, or a value lies below the double range."""
-
-    def __init__(self, message: str, estimates: tuple[float, ...] = ()):
-        self.estimates = estimates
-        super().__init__(message)
+    """A Chebyshev proxy did not resolve, a proxy count failed its
+    self-consistency test, or a value lies below the double range."""
 
 
 def _check_int(value, what: str, lo: int, hi: int | None = None) -> int:

@@ -21,7 +21,9 @@ together in one more fold table: a root is a zero if the function
 changes sign across its 0.9e-12-wide bracket, and its residual is |F| at
 the root.  A count that differs between the two proxies, an unresolved
 proxy, a near-real root pair (a possible even-order zero) or a root that
-fails its check is flagged instead of trusted.
+fails its check is flagged instead of trusted.  The settled proxy's
+series at the interval's ends, with the cancelled factors divided out,
+gives the constants of both end poles (`_proxy_ends`).
 
 The proxy-root stage works on a run at once, not interval by interval:
 one FFT per point count and round over the stacked proxies still
@@ -282,12 +284,11 @@ def _interval_roots(eigen, bounds) -> list[tuple[list[float], list[float]]]:
     return [(found, sorted(near)) for found, near in zip(roots, suspects)]
 
 
-def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
-    """The proxy-root stage of a run: for every task (k, r_values), in
-    order, and every fold count in it, in ascending r, its IntervalScan
-    without zeros, the roots of its settled (2n - 1)-point proxy g (or of
-    series(g, r, k)) in the guarded interval, each after one Newton step on
-    the full series, and the slopes that step used.
+def _proxies(pairs) -> list[tuple]:
+    """The settled Chebyshev proxies g of the r-fold functions, one for each
+    (r, k) of pairs, in order: the full series of g at its 2n - 1 points,
+    that of the (n - 1)-point proxy chopped, the full one chopped, whether
+    both resolve, and the point counts (n - 1, 2n - 1).
 
     The proxies grow in rounds, n = 32, 64, 128: the 2n - 1 points of n are
     every other one of 2n, so each round's fold table, at the largest
@@ -299,18 +300,8 @@ def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
     the kernel forms them, 1 / (k s - 1) and 1 / ((k - 1) s - 1), and the
     nearest singularity outside, 1 / ((k + 1) s - 1), g_r is F_r x^(r // k)
     (1 - x)^(r // (k - 1)) (1 + a x)^(r // (k + 1)) times a positive
-    constant, a = (k + 1) / (k - 1), in x in [0, 1] across the interval.
-    Each later step, down to the one Newton step of `_newton_steps`, runs
-    once for the whole run (see the module docstring)."""
-    checked = []
-    for k, r_values in tasks:
-        pairs = [_check_interval(r, k) for r in r_values]
-        if not pairs:
-            raise ParameterRangeError("need at least one fold count")
-        checked.append((pairs[0][1], sorted({r for r, _ in pairs})))
-    pairs = [(r, k) for k, r_values in checked for r in r_values]
-    if not pairs:
-        return []
+    constant, a = (k + 1) / (k - 1), in x in [0, 1] across the interval;
+    `_proxy_ends` divides the same factors out at the ends."""
     # At n = 16 only (2, 2) resolves, so the first round is n = 32.
     proxies, pending, g, n = [None] * len(pairs), list(range(len(pairs))), None, _PROXY_NODES // 4
     while pending:
@@ -337,7 +328,46 @@ def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
         for j in np.flatnonzero(done).tolist():
             proxies[pending[j]] = full[j], coarse[j], fine[j], coarse_ok[j] and ok[j], (n - 1, 2 * n - 1)
         pending, g, n = [i for i, d in zip(pending, done) if not d], g[~done], 2 * n
-    full, coarse, fine, ok, points = zip(*proxies)
+    return proxies
+
+
+def _proxy_ends(r: int, k: int) -> tuple[float, float]:
+    """C_r(k) and C_r(k - 1), the constants of the r-fold function's poles
+    at both ends of interval k, r >= 1, from the full series of its settled
+    proxy g at t = -1 and t = +1: g(-1) = C_r(k) k^-(m_b + m_c) and g(+1) =
+    (-1)^m_b C_r(k - 1) (k - 1)^-m_a (2 / (k - 1))^m_c, with m_a = r // k,
+    m_b = r // (k - 1), m_c = r // (k + 1).  A proxy that does not resolve
+    by 255 points raises NonConvergenceError."""
+    c, _, _, ok, points = _proxies([(r, k)])[0]
+    if not ok:
+        raise NonConvergenceError(
+            f"the proxy of the {r}-fold function on (1/{k}, 1/{k - 1}) "
+            f"did not resolve at {points[0]} and {points[1]} points"
+        )
+    m_a, m_b, m_c = r // k, r // (k - 1), r // (k + 1)
+    lower = float(c @ (-1.0) ** np.arange(len(c))) * float(k) ** (m_b + m_c)
+    upper = (-1.0) ** m_b * float(c.sum()) * float(k - 1) ** m_a * ((k - 1) / 2.0) ** m_c
+    return lower, upper
+
+
+def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
+    """The proxy-root stage of a run: for every task (k, r_values), in
+    order, and every fold count in it, in ascending r, its IntervalScan
+    without zeros, the roots of its settled (2n - 1)-point proxy g (see
+    `_proxies`), or of series(g, r, k), in the guarded interval, each after
+    one Newton step on the full series, and the slopes that step used.
+    Each step, down to the one Newton step of `_newton_steps`, runs once
+    for the whole run (see the module docstring)."""
+    checked = []
+    for k, r_values in tasks:
+        pairs = [_check_interval(r, k) for r in r_values]
+        if not pairs:
+            raise ParameterRangeError("need at least one fold count")
+        checked.append((pairs[0][1], sorted({r for r, _ in pairs})))
+    pairs = [(r, k) for k, r_values in checked for r in r_values]
+    if not pairs:
+        return []
+    full, coarse, fine, ok, points = zip(*_proxies(pairs))
     if series is not None:
         full, coarse, fine = (
             [series(f, r, k) for f, (r, k) in zip(rows, pairs)] for rows in (full, coarse, fine)

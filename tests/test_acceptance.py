@@ -130,10 +130,10 @@ def test_criterion_3_extremum_regression():
 
 def test_criterion_4_pole_constants():
     """The three routes to the leading constants agree (closed form vs
-    recursion to 1e-12 relative for r <= 12, numeric extraction to 1e-2
-    for r <= 8), every sign equals (-1)^(r + floor(r/k)), the constant
-    ratios repeat mod k, and the signs either side of each pole follow
-    its order's parity."""
+    recursion to 1e-12 relative for r <= 12, vs the ends of the zeros'
+    Chebyshev proxy to 1e-12 for r <= 16), every sign equals
+    (-1)^(r + floor(r/k)), the constant ratios repeat mod k, and the signs
+    either side of each pole follow its order's parity."""
     assert_passed(
         checks.recursive_constants(),
         checks.constant_signs(),

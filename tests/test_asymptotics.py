@@ -1,16 +1,17 @@
 """Pole structure: orders floor(r/k), the leading constants C_r(k) by
-closed form, by the order-preserving recursion, and by pure numerical
-limit extraction, plus the sign and periodicity laws they obey."""
+closed form, by the order-preserving recursion, and read off the ends of
+the zeros' Chebyshev proxy, plus the sign and periodicity laws they obey."""
 import math
 
 import numpy as np
 import pytest
 
 from mzr import (
-    NUMERIC_R_MAX,
+    SCAN_R_MAX,
     NonConvergenceError,
     ParameterRangeError,
     PoleSpec,
+    asymptotics,
     checks,
     coefficient_closed_form,
     coefficient_numeric,
@@ -20,6 +21,7 @@ from mzr import (
     pole_side_signs,
     pole_spec,
     riemann_zeta,
+    zero_finder,
 )
 
 # Frozen 40-digit oracle values for constants that involve a lower-fold
@@ -121,27 +123,52 @@ class TestRecursiveRoute:
 
 class TestNumericRoute:
     def test_double_fold(self):
-        assert coefficient_numeric(2, 2) == pytest.approx(-0.5, rel=1e-3, abs=0)
+        assert coefficient_numeric(2, 2) == pytest.approx(-0.5, rel=1e-12, abs=0)
+        assert coefficient_numeric(1, 1) == pytest.approx(1.0, rel=1e-12, abs=0)
 
     def test_against_closed_form(self):
-        assert coefficient_numeric(6, 2) == pytest.approx(
-            coefficient_closed_form(6, 2), rel=1e-2, abs=0
-        )
+        for r in range(1, SCAN_R_MAX + 1):
+            for k in range(1, r + 1):
+                assert coefficient_numeric(r, k) == pytest.approx(
+                    coefficient_closed_form(r, k), rel=1e-12, abs=0
+                ), (r, k)
 
     def test_rightmost_poles(self):
-        for r in range(2, 9):
+        for r in range(2, SCAN_R_MAX + 1):
             assert coefficient_numeric(r, r) == pytest.approx(
-                (-1.0) ** (r - 1) / r, rel=1e-3, abs=0
+                (-1.0) ** (r - 1) / r, rel=1e-12, abs=0
             )
 
     def test_fold_cap(self):
-        with pytest.raises(ParameterRangeError):
-            coefficient_numeric(NUMERIC_R_MAX + 1, 2)
+        with pytest.raises(ParameterRangeError, match=str(SCAN_R_MAX)):
+            coefficient_numeric(SCAN_R_MAX + 1, 2)
 
-    def test_non_convergence_error_carries_estimates(self):
-        # Constructed directly: the error type must expose its ladder.
-        err = NonConvergenceError("did not settle", estimates=(1.0, 2.0))
-        assert err.estimates == (1.0, 2.0)
+    def test_takes_no_formula_input(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the numeric route read a formula")
+
+        for name in ("coefficient_closed_form", "coefficient_recursive", "multizeta", "riemann_zeta"):
+            monkeypatch.setattr(asymptotics, name, refuse)
+        assert coefficient_numeric(7, 3) == pytest.approx(CONSTANT_SPOTS[7, 3], rel=1e-12, abs=0)
+        assert coefficient_numeric(5, 1) == pytest.approx(1.0 / 120.0, rel=1e-12, abs=0)
+
+    def test_unresolved_proxy_raises(self, monkeypatch):
+        # With no chop level no series is ever resolved, even at 255 points.
+        monkeypatch.setattr(zero_finder, "_CHOP", 0.0)
+        with pytest.raises(NonConvergenceError, match=r"\(1/3, 1/2\) .* 127 and 255 points"):
+            coefficient_numeric(6, 3)
+
+    def test_perturbed_end_value_fails_the_check(self, monkeypatch):
+        fold_table = zero_finder._fold_table
+
+        def perturbed(r, s):
+            table = fold_table(r, s)
+            table[-1] = table[-1] * (1.0 + 1e-10)
+            return table
+
+        assert checks.numeric_constants().passed
+        monkeypatch.setattr(zero_finder, "_fold_table", perturbed)
+        assert not checks.numeric_constants().passed
 
 
 class TestSignLaw:

@@ -27,7 +27,7 @@ VERIFY_CHECKS = [
     "constant sign (-1)^r on [0, 1/r)",
     "closed-form vs recursive constants (r <= 12)",
     "constant signs follow (-1)^(r + order)",
-    "numeric limit extraction (r <= 8)",
+    "closed-form vs proxy-end constants (r <= 16)",
     "constant ratios repeat mod k",
     "pole-side signs match order parity",
     "zero counts stable across proxy doublings (r <= 8)",
@@ -261,7 +261,20 @@ class TestPoles:
             assert item["order"] == 8 // item["k"]
             assert item["location"] == pytest.approx(1.0 / item["k"], rel=1e-6, abs=0)
             assert item["sign"] * item["constant"] > 0.0
-            assert item["numeric_rel_error"] <= 1e-2
+            assert item["numeric_rel_error"] <= 1e-12
+
+    def test_numeric_check_to_the_scan_cap(self, capsys):
+        code, out, _ = run(capsys, "poles", "--r", "16", "--numeric-check")
+        assert code == 0
+        poles = json.loads(out)["poles"]
+        assert [item["k"] for item in poles] == list(range(16, 0, -1))
+        assert max(item["numeric_rel_error"] for item in poles) <= 1e-12
+
+    def test_numeric_check_above_the_scan_cap(self, capsys):
+        code, out, err = run(capsys, "poles", "--r", "17", "--numeric-check")
+        assert code == 2
+        assert out == ""
+        assert "16" in err
 
     def test_without_numeric_check(self, capsys):
         code, out, _ = run(capsys, "poles", "--r", "3")
