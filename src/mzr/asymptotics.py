@@ -132,7 +132,7 @@ def coefficient_numeric(r: int, k: int) -> float:
     """
     r = _check_int(r, "fold count", 1, SCAN_R_MAX)
     k = _check_int(k, "pole index", 1, r)
-    lower, upper = _proxy_ends(r, max(k, 2))
+    ((lower, upper),) = _proxy_ends([(r, max(k, 2))])
     return lower if k >= 2 else upper
 
 

@@ -6,8 +6,10 @@ and its detail string, and returns a `Check` record.  `mzr verify` runs
 (`tests/test_acceptance.py`) calls the same functions at larger ones.
 Checks that share work take the shared object as an argument: the zero
 checks the `{(r, k): IntervalScan}` map of a census run, which
-`fold_scans` and `mzr census` both get from `zero_finder._scan_many`, the
-census checks the `iaz_predicted_range` array.
+`fold_scans` and `mzr census` both get from `zero_finder._scan_many` over
+the (r, k) pairs of `zero_finder._census_pairs`, the census checks the
+`iaz_predicted_range` array.  The pole-constant check reads both ends of
+the same pairs' proxies from one `zero_finder._proxy_ends` run.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ import numpy as np
 
 from .asymptotics import (
     coefficient_closed_form,
-    coefficient_numeric,
     coefficient_recursive,
     periodicity_check,
     pole_side_signs,
@@ -34,7 +35,8 @@ from .census import (
 from .multizeta import R_MAX, closed_form, multizeta, multizeta_grid, truncated_euler_zagier
 from .riemann_kernel import _GRID_TERMS, _direct_terms, _tail, _zeta_rows
 from .riemann_kernel import riemann_zeta, riemann_zeta_alternating
-from .zero_finder import SCAN_R_MAX, IntervalScan, _census_tasks, _interval_bounds, _scan_many
+from .zero_finder import SCAN_R_MAX, IntervalScan, _census_pairs, _interval_bounds
+from .zero_finder import _proxy_ends, _scan_many
 
 _REFERENCE_CELLS = 4 * (4096 - 1)
 
@@ -214,12 +216,17 @@ def constant_signs() -> Check:
 
 
 def numeric_constants() -> Check:
+    """Both end constants of every interval of a census to SCAN_R_MAX, and
+    C_1(1) from (1, 2), read off the proxies of one `_proxy_ends` run,
+    against the closed forms: the lower end of interval k gives C_r(k), the
+    upper end C_r(k - 1)."""
+    pairs = [(1, 2), *_census_pairs(SCAN_R_MAX)]
     worst = 0.0
-    for r in range(1, SCAN_R_MAX + 1):
-        for k in range(1, r + 1):
-            num = coefficient_numeric(r, k)
-            cf = coefficient_closed_form(r, k)
-            worst = max(worst, abs(num - cf) / abs(cf))
+    for (r, k), ends in zip(pairs, _proxy_ends(pairs)):
+        for j, num in zip((k, k - 1), ends):
+            if j <= r:
+                cf = coefficient_closed_form(r, j)
+                worst = max(worst, abs(num - cf) / abs(cf))
     return Check(
         f"closed-form vs proxy-end constants (r <= {SCAN_R_MAX})",
         worst <= 1e-12,
@@ -258,7 +265,7 @@ def pole_side_parity() -> Check:
 def fold_scans(r_max: int) -> dict[tuple[int, int], IntervalScan]:
     """Every interval scan for r = 2..r_max, as the census run: a fold
     table per proxy round and one for the root checks."""
-    return _scan_many(_census_tasks(r_max))
+    return _scan_many(_census_pairs(r_max))
 
 
 def _top(scans) -> int:

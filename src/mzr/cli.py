@@ -34,7 +34,7 @@ from .errors import (
     _check_int,
 )
 from .multizeta import R_MAX, multizeta, multizeta_grid
-from .zero_finder import SCAN_R_MAX, _census_tasks, _extrema, _scan_many, delta_exclusion
+from .zero_finder import SCAN_R_MAX, _census_pairs, _extrema, _scan_many, delta_exclusion
 
 __all__ = ["PlotSeries", "build_plot_series", "main"]
 
@@ -119,15 +119,11 @@ def _cmd_plot(args) -> int:
 
 def _cmd_zeros(args) -> int:
     r = _check_int(args.r, "fold count", 1, SCAN_R_MAX)
-    ks = [args.k] if args.k is not None else list(range(r, 1, -1))
-    if args.k is not None and not 2 <= args.k <= r:
-        raise ParameterRangeError(f"interval index {args.k} outside [2, {r}]")
-    found = _scan_many([(k, [r]) for k in ks], args.tol)
+    ks = [args.k] if args.k is not None else range(r, 1, -1)
     records = []
     intervals = []
     unstable = False
-    for k in sorted(ks, reverse=True):
-        scan = found[(r, k)]
+    for scan in _scan_many([(r, k) for k in ks], args.tol).values():
         records.extend(dataclasses.asdict(rec) for rec in scan.zeros)
         intervals.append(
             {
@@ -144,7 +140,7 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_extrema(args) -> int:
     r = _check_int(args.r, "fold count", 1, SCAN_R_MAX)
-    found = _extrema([(k, [r]) for k in range(r, 1, -1)])
+    found = _extrema([(r, k) for k in range(r, 1, -1)])
     records = [dataclasses.asdict(rec) for recs in found.values() for rec in recs]
     _print_json({"r": r, "extrema": records})
     return 0
@@ -171,7 +167,7 @@ def _cmd_census(args) -> int:
     r_max = args.r_max
     if not 2 <= r_max <= SCAN_R_MAX:
         raise ParameterRangeError(f"census fold cap {r_max} outside [2, {SCAN_R_MAX}]")
-    scans = _scan_many(_census_tasks(r_max))
+    scans = _scan_many(_census_pairs(r_max))
     reports = []
     unstable_intervals = []
     for r in range(2, r_max + 1):

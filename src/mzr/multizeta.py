@@ -17,7 +17,6 @@ region, the same product expansion over m <= n, are kept as cross-checks.
 """
 from __future__ import annotations
 
-import math
 import sys
 
 import numpy as np
@@ -29,7 +28,8 @@ from .errors import (
     PoleProximityError,
     _check_int,
 )
-from .riemann_kernel import POLE_GUARD_RADIUS, _tail, _zeta_multiples, _zeta_rows
+from .riemann_kernel import POLE_GUARD_RADIUS, _check_abscissa, _nearest_pole, _tail
+from .riemann_kernel import _zeta_multiples, _zeta_rows
 
 __all__ = [
     "R_MAX",
@@ -49,23 +49,6 @@ def nearest_pole(r: int, s: float) -> tuple[int, int] | None:
     """Return (k, order) if s lies within the guard radius of a pole 1/k of
     the r-fold function, else None."""
     return _nearest_pole(_check_int(r, "fold count", 1, R_MAX), s)
-
-
-def _nearest_pole(r: int, s: float) -> tuple[int, int] | None:
-    for k in range(1, r + 1):
-        if abs(s - 1.0 / k) < POLE_GUARD_RADIUS:
-            return k, r // k
-    return None
-
-
-def _check_abscissa(r: int, s: float) -> None:
-    if math.isnan(s) or math.isinf(s):
-        raise DomainError(f"abscissa must be finite, got {s!r}")
-    if s < 0.0:
-        raise DomainError(f"negative axis is out of scope (s = {s!r})")
-    hit = _nearest_pole(r, s)
-    if hit is not None:
-        raise PoleProximityError(k=hit[0], order=hit[1], s=s)
 
 
 # The head of the split above s = 1 is m < r + _HEAD_EXTRA: it must hold

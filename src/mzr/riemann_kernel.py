@@ -40,8 +40,27 @@ __all__ = [
 # the exact table holds B_0 .. B_{2*M_MAX}.
 M_MAX = 30
 
-# Requests closer than this to the pole at s = 1 are rejected outright.
+# Requests closer than this to a pole 1/k are rejected outright.
 POLE_GUARD_RADIUS = 1e-8
+
+
+def _nearest_pole(r: int, s: float) -> tuple[int, int] | None:
+    for k in range(1, r + 1):
+        if abs(s - 1.0 / k) < POLE_GUARD_RADIUS:
+            return k, r // k
+    return None
+
+
+def _check_abscissa(r: int, s: float) -> None:
+    """Reject s outside the r-fold function's domain: not finite, below 0,
+    or within the guard radius of a pole 1/k, k <= r (zeta is r = 1)."""
+    if math.isnan(s) or math.isinf(s):
+        raise DomainError(f"abscissa must be finite, got {s!r}")
+    if s < 0.0:
+        raise DomainError(f"negative axis is out of scope (s = {s!r})")
+    hit = _nearest_pole(r, s)
+    if hit is not None:
+        raise PoleProximityError(k=hit[0], order=hit[1], s=s)
 
 
 def _build_table(n_max: int) -> tuple[Fraction, ...]:
@@ -103,15 +122,6 @@ def _direct_terms(s, ceil=math.ceil, lower=max, upper=min):
     return lower(20, upper(ceil(s), 70) + 10)
 
 
-def _check_domain(s: float) -> None:
-    if math.isnan(s) or math.isinf(s):
-        raise DomainError(f"abscissa must be finite, got {s!r}")
-    if s < 0.0:
-        raise DomainError(f"negative axis is out of scope (s = {s!r})")
-    if abs(s - 1.0) < POLE_GUARD_RADIUS:
-        raise PoleProximityError(k=1, order=1, s=s)
-
-
 def riemann_zeta(s: float) -> float:
     """Evaluate zeta(s) for real s >= 0, s != 1, by Euler-Maclaurin summation.
 
@@ -120,7 +130,7 @@ def riemann_zeta(s: float) -> float:
     zeta(s) rounds to 1.0, the value is exactly 1.0.
     """
     s = float(s)
-    _check_domain(s)
+    _check_abscissa(1, s)
     return _zeta_multiples(s, 1)[0]
 
 
@@ -252,7 +262,7 @@ def riemann_zeta_alternating(s: float) -> float:
     the domain guard.
     """
     s = float(s)
-    _check_domain(s)
+    _check_abscissa(1, s)
     eta = 0.0
     for m in range(1, _ETA_DIRECT_TERMS + 1):
         eta += (-1) ** (m - 1) * m ** (-s)

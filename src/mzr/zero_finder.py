@@ -331,40 +331,38 @@ def _proxies(pairs) -> list[tuple]:
     return proxies
 
 
-def _proxy_ends(r: int, k: int) -> tuple[float, float]:
-    """C_r(k) and C_r(k - 1), the constants of the r-fold function's poles
-    at both ends of interval k, r >= 1, from the full series of its settled
-    proxy g at t = -1 and t = +1: g(-1) = C_r(k) k^-(m_b + m_c) and g(+1) =
-    (-1)^m_b C_r(k - 1) (k - 1)^-m_a (2 / (k - 1))^m_c, with m_a = r // k,
-    m_b = r // (k - 1), m_c = r // (k + 1).  A proxy that does not resolve
-    by 255 points raises NonConvergenceError."""
-    c, _, _, ok, points = _proxies([(r, k)])[0]
-    if not ok:
-        raise NonConvergenceError(
-            f"the proxy of the {r}-fold function on (1/{k}, 1/{k - 1}) "
-            f"did not resolve at {points[0]} and {points[1]} points"
-        )
-    m_a, m_b, m_c = r // k, r // (k - 1), r // (k + 1)
-    lower = float(c @ (-1.0) ** np.arange(len(c))) * float(k) ** (m_b + m_c)
-    upper = (-1.0) ** m_b * float(c.sum()) * float(k - 1) ** m_a * ((k - 1) / 2.0) ** m_c
-    return lower, upper
+def _proxy_ends(pairs) -> list[tuple[float, float]]:
+    """For each (r, k) of pairs, in order, r >= 1: C_r(k) and C_r(k - 1),
+    the constants of the r-fold function's poles at both ends of interval
+    k, from the full series of its settled proxy g (one `_proxies` run for
+    all pairs) at t = -1 and t = +1: g(-1) = C_r(k) k^-(m_b + m_c) and
+    g(+1) = (-1)^m_b C_r(k - 1) (k - 1)^-m_a (2 / (k - 1))^m_c, with m_a =
+    r // k, m_b = r // (k - 1), m_c = r // (k + 1).  A proxy that does not
+    resolve by 255 points raises NonConvergenceError, naming the first such
+    (r, k) in order."""
+    ends = []
+    for (r, k), (c, _, _, ok, points) in zip(pairs, _proxies(pairs)):
+        if not ok:
+            raise NonConvergenceError(
+                f"the proxy of the {r}-fold function on (1/{k}, 1/{k - 1}) "
+                f"did not resolve at {points[0]} and {points[1]} points"
+            )
+        m_a, m_b, m_c = r // k, r // (k - 1), r // (k + 1)
+        lower = float(c @ (-1.0) ** np.arange(len(c))) * float(k) ** (m_b + m_c)
+        upper = (-1.0) ** m_b * float(c.sum()) * float(k - 1) ** m_a * ((k - 1) / 2.0) ** m_c
+        ends.append((lower, upper))
+    return ends
 
 
-def _scan_grid(tasks, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
-    """The proxy-root stage of a run: for every task (k, r_values), in
-    order, and every fold count in it, in ascending r, its IntervalScan
-    without zeros, the roots of its settled (2n - 1)-point proxy g (see
-    `_proxies`), or of series(g, r, k), in the guarded interval, each after
-    one Newton step on the full series, and the slopes that step used.
-    Each step, down to the one Newton step of `_newton_steps`, runs once
-    for the whole run (see the module docstring)."""
-    checked = []
-    for k, r_values in tasks:
-        pairs = [_check_interval(r, k) for r in r_values]
-        if not pairs:
-            raise ParameterRangeError("need at least one fold count")
-        checked.append((pairs[0][1], sorted({r for r, _ in pairs})))
-    pairs = [(r, k) for k, r_values in checked for r in r_values]
+def _scan_grid(pairs, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:
+    """The proxy-root stage of a run: for every (r, k) of pairs, each
+    checked and in order, repeats dropped, its IntervalScan without zeros,
+    the roots of its settled (2n - 1)-point proxy g (see `_proxies`), or of
+    series(g, r, k), in the guarded interval, each after one Newton step on
+    the full series, and the slopes that step used.  Each step, down to the
+    one Newton step of `_newton_steps`, runs once for the whole run (see the
+    module docstring)."""
+    pairs = list(dict.fromkeys(_check_interval(r, k) for r, k in pairs))
     if not pairs:
         return []
     full, coarse, fine, ok, points = zip(*_proxies(pairs))
@@ -425,24 +423,23 @@ def _refine_scans(proxy_scans, tol: float = BRACKET_WIDTH) -> list[IntervalScan]
     return scans
 
 
-def _scan_many(tasks, tol: float = BRACKET_WIDTH) -> dict[tuple[int, int], IntervalScan]:
-    """Scan many intervals from shared fold tables.  Each task is (k, fold
-    counts) and scans interval k once for all of them; the proxy points of
-    every interval share one table per round, and every root of the run is
-    checked at +-0.45 tol in one more.  Results are keyed by (r, k), in
-    task order."""
-    return {(scan.r, scan.k): scan for scan in _refine_scans(_scan_grid(tasks), tol)}
+def _scan_many(pairs, tol: float = BRACKET_WIDTH) -> dict[tuple[int, int], IntervalScan]:
+    """Scan the intervals of many (r, k) pairs from shared fold tables: the
+    proxy points of every interval share one table per round, whatever fold
+    counts need it, and every root of the run is checked at +-0.45 tol in
+    one more.  Results are keyed by (r, k), in the order of pairs."""
+    return {(scan.r, scan.k): scan for scan in _refine_scans(_scan_grid(pairs), tol)}
 
 
-def _census_tasks(r_max: int) -> list[tuple[int, range]]:
-    """The run of a census up to r_max: every interval k = 2..r_max once,
-    for each fold count k..r_max it belongs to."""
-    return [(k, range(k, r_max + 1)) for k in range(2, r_max + 1)]
+def _census_pairs(r_max: int) -> list[tuple[int, int]]:
+    """The run of a census up to r_max: every interval k = 2..r_max, with
+    each fold count k..r_max it belongs to."""
+    return [(r, k) for k in range(2, r_max + 1) for r in range(k, r_max + 1)]
 
 
 def scan_interval(r: int, k: int) -> IntervalScan:
     """Locate and refine every zero of the r-fold function in (1/k, 1/(k-1)):
-    the one-task case of a run's scan.
+    the one-pair case of a run's scan.
 
     The folds up to r are evaluated at the 63 interior second-kind
     Chebyshev points of the interval, then at 64 and 128 more between
@@ -457,7 +454,7 @@ def scan_interval(r: int, k: int) -> IntervalScan:
     The count is unstable unless both proxies give it, both resolve,
     neither suspects a tangency and every root passes its check.
     """
-    return _scan_many([(k, [r])])[(r, k)]
+    return _scan_many([(r, k)])[(r, k)]
 
 
 def _extremum_series(c: np.ndarray, r: int, k: int) -> np.ndarray:
@@ -532,13 +529,13 @@ def _newton_steps(series, roots) -> list[tuple[np.ndarray, list[float]]]:
     ]
 
 
-def _extrema(tasks) -> dict[tuple[int, int], tuple[ExtremumRecord, ...]]:
-    """The extrema of every task (k, r_values) of a run, keyed by (r, k) in
-    task order: the proxy-root stage on `_extremum_series`, then the value
-    at every extremum of the run from one more fold table.  An
+def _extrema(pairs) -> dict[tuple[int, int], tuple[ExtremumRecord, ...]]:
+    """The extrema of every (r, k) of a run's pairs, keyed by (r, k) in the
+    order of pairs: the proxy-root stage on `_extremum_series`, then the
+    value at every extremum of the run from one more fold table.  An
     extremum is a minimum if h rises through it.  NonConvergenceError
-    names the first (r, k), in task order, whose count is not stable."""
-    found = _scan_grid(tasks, _extremum_series)
+    names the first (r, k), in that order, whose count is not stable."""
+    found = _scan_grid(pairs, _extremum_series)
     for scan, _, _ in found:
         if not scan.count_stable:
             raise NonConvergenceError(
@@ -560,7 +557,7 @@ def _extrema(tasks) -> dict[tuple[int, int], tuple[ExtremumRecord, ...]]:
 
 def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     """Locate the local extrema of the r-fold function in (1/k, 1/(k-1)):
-    the one-task case of a run's extrema, which, like its zeros, come from
+    the one-pair case of a run's extrema, which, like its zeros, come from
     the proxy's fold tables and one more for the values.
 
     They are the real roots, in the guarded interval, of the zeros'
@@ -574,4 +571,4 @@ def find_extrema(r: int, k: int) -> tuple[ExtremumRecord, ...]:
     raised unless both proxies give the count, resolve and suspect no
     tangency.  Values come from the last table; records ascend.
     """
-    return _extrema([(k, [r])])[(r, k)]
+    return _extrema([(r, k)])[(r, k)]

@@ -170,6 +170,32 @@ class TestNumericRoute:
         monkeypatch.setattr(zero_finder, "_fold_table", perturbed)
         assert not checks.numeric_constants().passed
 
+    def test_check_builds_every_proxy_in_one_run(self, monkeypatch):
+        # Both ends of every interval with r <= 16 come from one proxy run:
+        # one fold table per round, n = 32, 64, 128 at most.
+        sizes = []
+        fold_table = zero_finder._fold_table
+
+        def counted(r, s):
+            sizes.append(len(s))
+            return fold_table(r, s)
+
+        monkeypatch.setattr(zero_finder, "_fold_table", counted)
+        assert checks.numeric_constants().passed
+        assert 1 <= len(sizes) <= 3
+        assert sizes[0] == (SCAN_R_MAX - 1) * 63
+
+    def test_check_reads_every_upper_end(self, monkeypatch):
+        # C_16(14) is read only off the upper end of interval 15.
+        proxy_ends = checks._proxy_ends
+
+        def perturbed(pairs):
+            ends = proxy_ends(pairs)
+            return [(lo, hi * (1.0 + 1e-11) if pair == (16, 15) else hi) for pair, (lo, hi) in zip(pairs, ends)]
+
+        monkeypatch.setattr(checks, "_proxy_ends", perturbed)
+        assert not checks.numeric_constants().passed
+
 
 class TestSignLaw:
     def test_signs_follow_order_parity(self):

@@ -206,8 +206,9 @@ class TestZeros:
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
     def test_interval_validation(self, capsys):
-        code, _, _ = run(capsys, "zeros", "--r", "3", "--k", "4")
+        code, _, err = run(capsys, "zeros", "--r", "3", "--k", "4")
         assert code == 2
+        assert "interval index must be an integer in [2, 3], got 4" in err
         code, _, _ = run(capsys, "zeros", "--r", "3", "--tol", "1e-15")
         assert code == 2
 

@@ -97,12 +97,12 @@ class TestRefineRoot:
         assert 0.0 <= record.residual < 1e-11
 
     def test_tighter_tolerance(self):
-        ((record,),) = zero_finder._refine_scans(zero_finder._scan_grid([(2, [2])]), tol=1e-13)
+        ((record,),) = zero_finder._refine_scans(zero_finder._scan_grid([(2, 2)]), tol=1e-13)
         assert record.bracket_hi - record.bracket_lo <= 1e-13
         assert record.abscissa == scan_interval(2, 2).zeros[0].abscissa
 
     def test_tolerance_validation(self):
-        proxies = zero_finder._scan_grid([(2, [2])])
+        proxies = zero_finder._scan_grid([(2, 2)])
         with pytest.raises(ParameterRangeError):
             zero_finder._refine_scans(proxies, tol=1e-15)
         with pytest.raises(ParameterRangeError):
@@ -122,7 +122,7 @@ class TestRefineRoot:
     def test_rejects_same_sign_endpoints(self):
         # The 2-fold function keeps one sign on [0.70, 0.75]: a root put
         # there fails its sign check, gives no zero and unsettles the count.
-        ((scan, _, _),) = zero_finder._scan_grid([(2, [2])])
+        ((scan, _, _),) = zero_finder._scan_grid([(2, 2)])
         assert scan.count_stable
         (refined,) = zero_finder._refine_scans([(scan, (0.72,), (1.0,))])
         assert refined.zeros == ()
@@ -156,9 +156,13 @@ class TestRefineRoots:
         # run, are field for field those of each interval scanned alone,
         # and each bracket sits inside its interval and straddles a sign
         # change.
-        tasks = [(k, range(k, SCAN_R_MAX + 1)) for k in range(2, SCAN_R_MAX + 1)]
-        batch = zero_finder._refine_scans(zero_finder._scan_grid(tasks))
-        single = [scan for task in tasks for scan in zero_finder._scan_many([task]).values()]
+        pairs = zero_finder._census_pairs(SCAN_R_MAX)
+        batch = zero_finder._refine_scans(zero_finder._scan_grid(pairs))
+        single = [
+            scan
+            for k in range(2, SCAN_R_MAX + 1)
+            for scan in zero_finder._scan_many([(r, k) for r in range(k, SCAN_R_MAX + 1)]).values()
+        ]
         assert batch == single
         records = [zero for scan in batch for zero in scan.zeros]
         assert len(records) == 228
@@ -231,7 +235,7 @@ class TestScanFolds:
         # Up to r = 16 the rows i*s pass 10, where each point takes its own
         # zeta term counts; counts shared by the array would leak between
         # the fold counts and the roots of a batch.
-        scans = zero_finder._scan_many([(k, range(k, SCAN_R_MAX + 1))])
+        scans = zero_finder._scan_many([(r, k) for r in range(k, SCAN_R_MAX + 1)])
         assert list(scans) == [(r, k) for r in range(k, SCAN_R_MAX + 1)]
         for (r, _), scan in scans.items():
             assert scan == scan_interval(r, k), (r, k)
@@ -282,16 +286,22 @@ class TestScanFolds:
         # One Newton step serves a whole run, down the columns of its
         # series; a census to SCAN_R_MAX and the extrema of r = 16 give
         # the records of each interval run alone, to the last bit.
-        census = zero_finder._scan_many(zero_finder._census_tasks(SCAN_R_MAX))
+        census = zero_finder._scan_many(zero_finder._census_pairs(SCAN_R_MAX))
         assert len(census) == 120
         assert repr(census) == repr({(r, k): scan_interval(r, k) for r, k in census})
-        run = zero_finder._extrema([(k, [16]) for k in range(2, 17)])
+        run = zero_finder._extrema([(16, k) for k in range(2, 17)])
         assert repr(run) == repr({(16, k): find_extrema(16, k) for k in range(2, 17)})
 
     def test_validation(self):
-        for r_values in ([], [3, 2], [3, SCAN_R_MAX + 1]):
+        # An empty run is empty, every pair is checked, and a repeated pair
+        # gives one record, in the place it first takes.
+        assert zero_finder._scan_many([]) == {}
+        for pair in ((3, 1), (3, 4), (1, 2), (SCAN_R_MAX + 1, 2)):
             with pytest.raises(ParameterRangeError):
-                zero_finder._scan_many([(3, r_values)])
+                zero_finder._scan_many([(3, 2), pair])
+        run = zero_finder._scan_many([(3, 2), (2, 2), (3, 2)])
+        assert list(run) == [(3, 2), (2, 2)]
+        assert run[(3, 2)] == scan_interval(3, 2)
 
 
 ORACLE = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.json"
@@ -327,7 +337,7 @@ class TestChebyshevProxy:
             return found
 
         monkeypatch.setattr(zero_finder, "_proxy_series", recorded)
-        scans = [scan for scan, _, _ in zero_finder._scan_grid([(k, range(k, SCAN_R_MAX + 1))])]
+        scans = [scan for scan, _, _ in zero_finder._scan_grid([(r, k) for r in range(k, SCAN_R_MAX + 1)])]
         assert [scan.grid_counts for scan in scans] == [
             (r // k, r // k) for r in range(k, SCAN_R_MAX + 1)
         ]
@@ -342,7 +352,7 @@ class TestChebyshevProxy:
         # Every (r, k) with r <= 16 settles on 63 or 127 points, with the
         # counts, stability and suspects the 127- and 255-point proxies
         # give it: those read from one 255-point table per (r, k).
-        scans = [scan for scan, _, _ in zero_finder._scan_grid(zero_finder._census_tasks(SCAN_R_MAX))]
+        scans = [scan for scan, _, _ in zero_finder._scan_grid(zero_finder._census_pairs(SCAN_R_MAX))]
         assert len(scans) == 120
         for scan in scans:
             r, k = scan.r, scan.k
@@ -418,7 +428,7 @@ class TestChebyshevProxy:
         for n in (zero_finder._PROXY_NODES, 2 * zero_finder._PROXY_NODES):
             _, _, resolved = zero_finder._proxy_series(rng.standard_normal((3, n - 1)))
             assert resolved == [False] * 3
-        ((scan, _, _),) = zero_finder._scan_grid([(2, [2])])
+        ((scan, _, _),) = zero_finder._scan_grid([(2, 2)])
         assert not scan.count_stable
 
     def test_stacked_roots_equal_chebroots(self, monkeypatch):
@@ -435,7 +445,7 @@ class TestChebyshevProxy:
             return stacked(series)
 
         monkeypatch.setattr(zero_finder, "_chebroots", recorded)
-        zero_finder._scan_grid(zero_finder._census_tasks(SCAN_R_MAX))
+        zero_finder._scan_grid(zero_finder._census_pairs(SCAN_R_MAX))
         assert len(seen) == 2 * 120
         # The eigenvalue work grows as the cube of the lengths: with the pole
         # at 1/(k+1) cancelled too the census gives 792,480 (1,353,286 with
@@ -465,9 +475,9 @@ class TestChebyshevProxy:
             return stacked(eigen, bounds)
 
         monkeypatch.setattr(zero_finder, "_interval_roots", recorded)
-        tasks = zero_finder._census_tasks(SCAN_R_MAX)
-        zero_finder._scan_grid(tasks)
-        zero_finder._scan_grid(tasks, zero_finder._extremum_series)
+        pairs = zero_finder._census_pairs(SCAN_R_MAX)
+        zero_finder._scan_grid(pairs)
+        zero_finder._scan_grid(pairs, zero_finder._extremum_series)
         rng = np.random.default_rng(12)
         for _ in range(50):
             eigen = []
@@ -492,7 +502,7 @@ class TestChebyshevProxy:
         for tol in (BRACKET_WIDTH, 1e-14):
             seen = set()
             for k in range(2, top + 1):
-                proxies = zero_finder._scan_grid([(k, range(k, top + 1))])
+                proxies = zero_finder._scan_grid([(r, k) for r in range(k, top + 1)])
                 for scan in zero_finder._refine_scans(proxies, tol):
                     assert scan.count_stable, (scan.r, k, tol)
                     for z in scan.zeros:
@@ -694,8 +704,7 @@ class TestFindExtrema:
         # One run over the 120 intervals with r <= 16, from two fold
         # tables, gives the records of each interval found alone, bit for
         # bit.
-        tasks = [(k, range(k, SCAN_R_MAX + 1)) for k in range(2, SCAN_R_MAX + 1)]
-        run = zero_finder._extrema(tasks)
+        run = zero_finder._extrema(zero_finder._census_pairs(SCAN_R_MAX))
         assert len(run) == 120
         assert sum(map(len, run.values())) == 108
         assert run == {(r, k): find_extrema(r, k) for r, k in run}
