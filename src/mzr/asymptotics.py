@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import ParameterRangeError, _check_int
 from .multizeta import R_MAX, multizeta
 from .riemann_kernel import riemann_zeta
-from .zero_finder import SCAN_R_MAX, _proxy_ends
+from .zero_finder import SCAN_R_MAX, _pole_constants
 
 __all__ = [
     "PoleSpec",
@@ -125,15 +125,14 @@ def coefficient_numeric(r: int, k: int) -> float:
     r <= SCAN_R_MAX: the r-fold function with the poles at both ends
     cancelled, so analytic on the closed interval, whose series at an end
     gives that end's constant once the cancelled factors are divided out
-    (see `zero_finder.scan_interval`).  C_r(k) for k >= 2 comes from the
-    lower end of (1/k, 1/(k-1)), C_r(1) from the upper end of (1/2, 1).
-    Raises NonConvergenceError when the proxy does not resolve, rather than
-    returning a doubtful number.
+    (see `zero_finder.scan_interval`): the first `_pole_constants` reading,
+    from the lower end of (1/k, 1/(k-1)) for k >= 2, or for C_r(1) the
+    upper end of (1/2, 1).  Raises NonConvergenceError when the proxy does
+    not resolve, rather than returning a doubtful number.
     """
     r = _check_int(r, "fold count", 1, SCAN_R_MAX)
     k = _check_int(k, "pole index", 1, r)
-    ((lower, upper),) = _proxy_ends([(r, max(k, 2))])
-    return lower if k >= 2 else upper
+    return _pole_constants([(r, max(k, 2))])[r, k][0]
 
 
 def pole_spec(r: int, k: int) -> PoleSpec:

@@ -52,8 +52,6 @@ def divisor_count(n: int) -> int:
 def iaz_predicted(r: int) -> int:
     """Conjectured total zero count F(r) = sum_{k=2}^{r} floor(r/k)."""
     r = _check_int(r, "fold count", 1)
-    if r == 1:
-        return 0
     return int(np.sum(r // np.arange(2, r + 1)))
 
 

@@ -9,7 +9,7 @@ checks the `{(r, k): IntervalScan}` map of a census run, which
 `fold_scans` and `mzr census` both get from `zero_finder._scan_many` over
 the (r, k) pairs of `zero_finder._census_pairs`, the census checks the
 `iaz_predicted_range` array.  The pole-constant check reads both ends of
-the same pairs' proxies from one `zero_finder._proxy_ends` run.
+the same pairs' proxies from one `zero_finder._pole_constants` run.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from .multizeta import R_MAX, closed_form, multizeta, multizeta_grid, truncated_
 from .riemann_kernel import _GRID_TERMS, _direct_terms, _tail, _zeta_rows
 from .riemann_kernel import riemann_zeta, riemann_zeta_alternating
 from .zero_finder import SCAN_R_MAX, IntervalScan, _census_pairs, _interval_bounds
-from .zero_finder import _proxy_ends, _scan_many
+from .zero_finder import _pole_constants, _scan_many
 
 _REFERENCE_CELLS = 4 * (4096 - 1)
 
@@ -217,16 +217,13 @@ def constant_signs() -> Check:
 
 def numeric_constants() -> Check:
     """Both end constants of every interval of a census to SCAN_R_MAX, and
-    C_1(1) from (1, 2), read off the proxies of one `_proxy_ends` run,
-    against the closed forms: the lower end of interval k gives C_r(k), the
-    upper end C_r(k - 1)."""
-    pairs = [(1, 2), *_census_pairs(SCAN_R_MAX)]
+    C_1(1) from (1, 2), read off the proxies of one `_pole_constants` run,
+    against the closed forms."""
+    readings = _pole_constants([(1, 2), *_census_pairs(SCAN_R_MAX)])
     worst = 0.0
-    for (r, k), ends in zip(pairs, _proxy_ends(pairs)):
-        for j, num in zip((k, k - 1), ends):
-            if j <= r:
-                cf = coefficient_closed_form(r, j)
-                worst = max(worst, abs(num - cf) / abs(cf))
+    for (r, j), values in readings.items():
+        cf = coefficient_closed_form(r, j)
+        worst = max(worst, *(abs(num - cf) / abs(cf) for num in values))
     return Check(
         f"closed-form vs proxy-end constants (r <= {SCAN_R_MAX})",
         worst <= 1e-12,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .asymptotics import coefficient_numeric, pole_spec
+from .asymptotics import pole_spec
 from .census import census_report
 from .checks import SUITES
 from .errors import (
@@ -34,7 +34,8 @@ from .errors import (
     _check_int,
 )
 from .multizeta import R_MAX, multizeta, multizeta_grid
-from .zero_finder import SCAN_R_MAX, _census_pairs, _extrema, _scan_many, delta_exclusion
+from .zero_finder import SCAN_R_MAX, _census_pairs, _extrema, _pole_constants, _scan_many
+from .zero_finder import delta_exclusion
 
 __all__ = ["PlotSeries", "build_plot_series", "main"]
 
@@ -148,12 +149,15 @@ def _cmd_extrema(args) -> int:
 
 def _cmd_poles(args) -> int:
     r = _check_int(args.r, "fold count", 1, R_MAX)
+    # One run; in ascending k, a pole's first reading is its interval's lower end.
+    ks = range(2, max(r, 2) + 1) if args.numeric_check else ()
+    readings = _pole_constants([(r, k) for k in ks])
     poles = []
     for k in range(r, 0, -1):
         spec = pole_spec(r, k)
         entry = dataclasses.asdict(spec)
         if args.numeric_check:
-            numeric = coefficient_numeric(r, k)
+            numeric = readings[r, k][0]
             entry["numeric"] = numeric
             entry["numeric_rel_error"] = abs(numeric - spec.constant) / abs(
                 spec.constant
@@ -164,9 +168,7 @@ def _cmd_poles(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    r_max = args.r_max
-    if not 2 <= r_max <= SCAN_R_MAX:
-        raise ParameterRangeError(f"census fold cap {r_max} outside [2, {SCAN_R_MAX}]")
+    r_max = _check_int(args.r_max, "census fold cap", 2, SCAN_R_MAX)
     scans = _scan_many(_census_pairs(r_max))
     reports = []
     unstable_intervals = []

@@ -23,7 +23,7 @@ the root.  A count that differs between the two proxies, an unresolved
 proxy, a near-real root pair (a possible even-order zero) or a root that
 fails its check is flagged instead of trusted.  The settled proxy's
 series at the interval's ends, with the cancelled factors divided out,
-gives the constants of both end poles (`_proxy_ends`).
+gives the constants of both end poles (`_pole_constants`).
 
 The proxy-root stage works on a run at once, not interval by interval:
 one FFT per point count and round over the stacked proxies still
@@ -301,7 +301,7 @@ def _proxies(pairs) -> list[tuple]:
     nearest singularity outside, 1 / ((k + 1) s - 1), g_r is F_r x^(r // k)
     (1 - x)^(r // (k - 1)) (1 + a x)^(r // (k + 1)) times a positive
     constant, a = (k + 1) / (k - 1), in x in [0, 1] across the interval;
-    `_proxy_ends` divides the same factors out at the ends."""
+    `_pole_constants` divides the same factors out at the ends."""
     # At n = 16 only (2, 2) resolves, so the first round is n = 32.
     proxies, pending, g, n = [None] * len(pairs), list(range(len(pairs))), None, _PROXY_NODES // 4
     while pending:
@@ -331,16 +331,17 @@ def _proxies(pairs) -> list[tuple]:
     return proxies
 
 
-def _proxy_ends(pairs) -> list[tuple[float, float]]:
-    """For each (r, k) of pairs, in order, r >= 1: C_r(k) and C_r(k - 1),
-    the constants of the r-fold function's poles at both ends of interval
-    k, from the full series of its settled proxy g (one `_proxies` run for
-    all pairs) at t = -1 and t = +1: g(-1) = C_r(k) k^-(m_b + m_c) and
-    g(+1) = (-1)^m_b C_r(k - 1) (k - 1)^-m_a (2 / (k - 1))^m_c, with m_a =
-    r // k, m_b = r // (k - 1), m_c = r // (k + 1).  A proxy that does not
-    resolve by 255 points raises NonConvergenceError, naming the first such
-    (r, k) in order."""
-    ends = []
+def _pole_constants(pairs) -> dict[tuple[int, int], list[float]]:
+    """Every reading of a pole constant off the ends of the settled proxies
+    g of pairs (one `_proxies` run), keyed by pole (r, j) in pair order: the
+    lower end of interval k reads C_r(k), the upper end C_r(k - 1), kept
+    when j <= r; r <= SCAN_R_MAX.  With m_a = r // k, m_b = r // (k - 1)
+    and m_c = r // (k + 1), g(-1) = C_r(k) k^-(m_b + m_c) and g(+1) =
+    (-1)^m_b C_r(k - 1) (k - 1)^-m_a (2 / (k - 1))^m_c.  A proxy that does
+    not resolve by 255 points raises NonConvergenceError, naming the first
+    such (r, k) in order."""
+    pairs = [(_check_int(r, "fold count", 1, SCAN_R_MAX), k) for r, k in pairs]
+    readings: dict[tuple[int, int], list[float]] = {}
     for (r, k), (c, _, _, ok, points) in zip(pairs, _proxies(pairs)):
         if not ok:
             raise NonConvergenceError(
@@ -350,8 +351,10 @@ def _proxy_ends(pairs) -> list[tuple[float, float]]:
         m_a, m_b, m_c = r // k, r // (k - 1), r // (k + 1)
         lower = float(c @ (-1.0) ** np.arange(len(c))) * float(k) ** (m_b + m_c)
         upper = (-1.0) ** m_b * float(c.sum()) * float(k - 1) ** m_a * ((k - 1) / 2.0) ** m_c
-        ends.append((lower, upper))
-    return ends
+        for j, value in ((k, lower), (k - 1, upper)):
+            if j <= r:
+                readings.setdefault((r, j), []).append(value)
+    return readings
 
 
 def _scan_grid(pairs, series=None) -> list[tuple[IntervalScan, tuple, tuple]]:

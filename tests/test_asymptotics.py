@@ -186,14 +186,17 @@ class TestNumericRoute:
         assert sizes[0] == (SCAN_R_MAX - 1) * 63
 
     def test_check_reads_every_upper_end(self, monkeypatch):
-        # C_16(14) is read only off the upper end of interval 15.
-        proxy_ends = checks._proxy_ends
+        # C_16(14)'s second reading, in pair order, is the upper end of
+        # interval 15; the first is the lower end of interval 14.
+        pole_constants = checks._pole_constants
 
         def perturbed(pairs):
-            ends = proxy_ends(pairs)
-            return [(lo, hi * (1.0 + 1e-11) if pair == (16, 15) else hi) for pair, (lo, hi) in zip(pairs, ends)]
+            readings = pole_constants(pairs)
+            lower, upper = readings[16, 14]
+            readings[16, 14] = [lower, upper * (1.0 + 1e-11)]
+            return readings
 
-        monkeypatch.setattr(checks, "_proxy_ends", perturbed)
+        monkeypatch.setattr(checks, "_pole_constants", perturbed)
         assert not checks.numeric_constants().passed
 
 

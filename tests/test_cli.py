@@ -3,9 +3,10 @@ JSON report shapes."""
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mzr import checks, riemann_zeta
+from mzr import checks, riemann_zeta, zero_finder
 from mzr.cli import build_plot_series, main
 
 FIVE_FOLD_ZEROS = [
@@ -80,6 +81,9 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--r", "16", "--s", "2")
         assert code == 0
         assert float(out) == pytest.approx(9.3349122371730e-22, rel=1e-13, abs=0)
+        # zeta(s) at a huge s is 1, not NaN.
+        code, out, _ = run(capsys, "eval", "--r", "1", "--s", "1e14")
+        assert (code, out) == (0, "1\n")
 
     def test_below_the_double_range_exits_four(self, capsys):
         code, out, err = run(capsys, "eval", "--r", "32", "--s", "10")
@@ -111,6 +115,13 @@ class TestPlot:
         first = lines[2].split(",")
         assert float(first[0]) == pytest.approx(0.55, rel=1e-6, abs=0)
         assert "\r" not in out_path.read_text()
+        # No sample of r = 4 on [0.05, 3] falls in a guard gap: 512 rows.
+        code, _, _ = run(
+            capsys, "plot", "--r", "4", "--from", "0.05", "--to", "3",
+            "--points", "512", "--out", str(out_path),
+        )
+        assert code == 0
+        assert len(out_path.read_text().splitlines()) == 2 + 512
 
     def test_no_header_flag(self, tmp_path, capsys):
         out_path = tmp_path / "bare.csv"
@@ -150,6 +161,17 @@ class TestPlot:
         )
         assert code == 3
         assert "cannot write" in err
+
+    def test_empty_range_writes_nothing(self, tmp_path, capsys):
+        out_path = tmp_path / "series.csv"
+        code, out, err = run(
+            capsys, "plot", "--r", "2", "--from", "0.9", "--to", "0.9",
+            "--points", "8", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "need 0 < from < to" in err
+        assert not out_path.exists()
 
     def test_guard_gaps_are_skipped(self):
         # Poles 1/2..1/6 fall inside the range; the pole at 1 does not.
@@ -271,6 +293,20 @@ class TestPoles:
         assert [item["k"] for item in poles] == list(range(16, 0, -1))
         assert max(item["numeric_rel_error"] for item in poles) <= 1e-12
 
+    def test_numeric_check_is_one_proxy_run(self, capsys, monkeypatch):
+        # Every constant of r = 16 from one run: a fold table per round.
+        calls = []
+        fold_table = zero_finder._fold_table
+
+        def counted(r, s):
+            calls.append(r)
+            return fold_table(r, s)
+
+        monkeypatch.setattr(zero_finder, "_fold_table", counted)
+        code, _, _ = run(capsys, "poles", "--r", "16", "--numeric-check")
+        assert code == 0
+        assert 1 <= len(calls) <= 3
+
     def test_numeric_check_above_the_scan_cap(self, capsys):
         code, out, err = run(capsys, "poles", "--r", "17", "--numeric-check")
         assert code == 2
@@ -304,8 +340,20 @@ class TestCensus:
         assert out.encode() == (Path(__file__).parent / "data" / "census_r16.json").read_bytes()
 
     def test_r_max_validation(self, capsys):
-        code, _, _ = run(capsys, "census", "--r-max", "1")
+        code, _, err = run(capsys, "census", "--r-max", "1")
         assert code == 2
+        assert "census fold cap must be an integer in [2, 16], got 1" in err
+
+    def test_unstable_interval_exits_five(self, capsys, monkeypatch):
+        # Noise in every fold leaves no proxy resolved.
+        rng = np.random.default_rng(7)
+        monkeypatch.setattr(
+            zero_finder, "_fold_table",
+            lambda r, s: [rng.standard_normal(np.size(s))] * (r + 1),
+        )
+        code, out, _ = run(capsys, "census", "--r-max", "2")
+        assert code == 5
+        assert json.loads(out)["unstable_intervals"] == [{"r": 2, "k": 2}]
 
 
 class TestVerify:
