@@ -14,12 +14,13 @@ all-positive product expansion, and the tail's from the recursion on the
 small Euler-Maclaurin power sums sum_{m >= N} m^(-i s).  Closed forms for
 r = 2, 3, 4 and a truncated-sum oracle over the absolutely convergent
 region, the same product expansion over m <= n, are kept as cross-checks.
+The split and the truncated sums take libm's pow on Python floats, so
+numpy loads only for an array, s <= 1, r = 1, `closed_form` or a scan,
+and under `python -m mzr`, which imports everything.
 """
 from __future__ import annotations
 
 import sys
-
-import numpy as np
 
 from .errors import (
     DomainError,
@@ -83,7 +84,7 @@ def _split(r: int, s: float) -> float:
     with n^(-i s) chained from one power; they shrink like n^(1 - i s), so
     their recursion cancels little."""
     n = r + _HEAD_EXTRA
-    head = _product_expansion((np.arange(1, n) ** -s).tolist(), r)
+    head = _product_expansion([m ** -s for m in range(1, n)], r)
     step = float(n) ** -s
     power = step
     q = []
@@ -131,6 +132,7 @@ def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
     function on the grid.  Above s = 1 the recursion cancels (see
     `multizeta_grid`); scans stay below 1.
     """
+    import numpy as np
     r = _check_int(r, "fold count", 1, R_MAX)
     s = np.asarray(s, dtype=float)
     if s.ndim != 1:
@@ -163,6 +165,7 @@ def multizeta_grid(r: int, s: np.ndarray) -> np.ndarray:
     O(1) terms down to values near (r!)^(-s); a value below the double
     range raises NonConvergenceError.
     """
+    import numpy as np
     values = _fold_table(r, s)[r]
     if r > 1:
         s = np.asarray(s, dtype=float)
@@ -211,7 +214,7 @@ def truncated_euler_zagier(r: int, s: float, n: int) -> float:
         raise DomainError(
             f"truncated sums are an oracle for the region s > 1 only (s = {s!r})"
         )
-    return _product_expansion((np.arange(1, n + 1, dtype=float) ** -s).tolist(), r)[r]
+    return _product_expansion([m ** -s for m in range(1, n + 1)], r)[r]
 
 
 def _product_expansion(values: list[float], r: int) -> list[float]:

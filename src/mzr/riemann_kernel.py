@@ -16,15 +16,17 @@ Two independent evaluators are provided on purpose:
   unrelated cross-check; the verify suite compares the two.
 
 The Bernoulli table behind the corrections is built once in exact rational
-arithmetic and reduced to floats only at the use site.
+arithmetic and reduced to floats only at the use site.  numpy loads only
+in the two kernels: at any array, s <= 1, r = 1 (`riemann_zeta`) or scan,
+and under `python -m mzr`, which imports everything; `bernoulli`,
+`riemann_zeta_alternating` and `_tail` on floats never load it.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
 from fractions import Fraction
-
-import numpy as np
+from functools import cache
 
 from .errors import DomainError, PoleProximityError, _check_int
 
@@ -134,15 +136,21 @@ def riemann_zeta(s: float) -> float:
     return _zeta_multiples(s, 1)[0]
 
 
-# Columns of `_zeta_multiples`'s step table (sigma + offset) - shift:
+# `_step_table`, built once on first use: the correction weights, and the
+# columns of `_zeta_multiples`'s step table (sigma + offset) - shift:
 # sigma - 1, sigma and (sigma + 2j) - 1, the negated exponents of n (as
 # -s - 2j + 1 = -((s + 2j) - 1) in every rounding), then the factors
 # sigma, (sigma + 2j) - 3 and (sigma + 2j) - 2 of the rising products.
 _POWERS = _CORRECTION_TERMS + 2
-_TWO_J = [2.0 * j for j in range(1, _CORRECTION_TERMS + 1)]
-_OFFSET = np.array([0.0, 0.0, *_TWO_J, 0.0, *np.repeat(_TWO_J[1:], 2)])
-_SHIFT = np.array([1.0, 0.0, *[1.0] * _CORRECTION_TERMS, 0.0, *[3.0, 2.0] * (_CORRECTION_TERMS - 1)])
-_WEIGHTS = np.array(_CORRECTION_WEIGHT[1:_CORRECTION_TERMS + 1])
+
+
+@cache
+def _step_table():
+    import numpy as np
+    two_j = [2.0 * j for j in range(1, _CORRECTION_TERMS + 1)]
+    offset = np.array([0.0, 0.0, *two_j, 0.0, *np.repeat(two_j[1:], 2)])
+    shift = np.array([1.0, 0.0, *[1.0] * _CORRECTION_TERMS, 0.0, *[3.0, 2.0] * (_CORRECTION_TERMS - 1)])
+    return offset, shift, np.array(_CORRECTION_WEIGHT[1:_CORRECTION_TERMS + 1])
 
 
 def _zeta_multiples(s: float, r: int) -> list[float]:
@@ -155,6 +163,8 @@ def _zeta_multiples(s: float, r: int) -> list[float]:
     the integral term, the half term and the corrections added left to
     right, every power of n from libm's pow (numpy's may differ in the
     last bit)."""
+    import numpy as np
+    offset, shift, weights = _step_table()
     # min(i*s, 54), without overflowing i*s first.
     sigma = np.minimum(np.arange(1, r + 1) * min(s, _ROUNDS_TO_ONE), _ROUNDS_TO_ONE)
     n = _direct_terms(sigma, np.ceil, np.maximum, np.minimum)
@@ -166,13 +176,13 @@ def _zeta_multiples(s: float, r: int) -> list[float]:
     for end in dict.fromkeys(ends):
         run = slice(ends.index(end), bisect_right(ends, end))
         cols[run, 0] = np.add.reduce(terms[run, :int(end) - 1], axis=1)
-    steps = (sigma[:, None] + _OFFSET) - _SHIFT
+    steps = (sigma[:, None] + offset) - shift
     pows = map(math.pow, np.repeat(n, _POWERS).tolist(), (-steps[:, :_POWERS]).ravel().tolist())
     powers = np.fromiter(pows, float, r * _POWERS).reshape(r, _POWERS)
     rising = np.multiply.accumulate(steps[:, _POWERS:], axis=1)[:, ::2]
     cols[:, 1] = powers[:, 0] / steps[:, 0]
     cols[:, 2] = 0.5 * powers[:, 1]
-    cols[:, 3:] = (_WEIGHTS * rising) * powers[:, 2:]
+    cols[:, 3:] = (weights * rising) * powers[:, 2:]
     # accumulate adds left to right; reduce would pair the terms.
     return np.add.accumulate(cols, axis=1)[:, -1].tolist()
 
@@ -198,6 +208,7 @@ def _zeta_rows(r: int, s: np.ndarray, terms: int = _GRID_TERMS) -> np.ndarray:
     peaks at 7.2e-18 (sigma near 4.0) for N = 8, 3.0e-19 (3.7) for N = 9
     and 1.9e-20 (3.4) for N = 10, against u/100 = 1.1e-18.
     """
+    import numpy as np
     out = np.empty((r, s.size))
     step = max(1, _BLOCK // r)
     for lo in range(0, s.size, step):

@@ -1,8 +1,9 @@
 """The README's library example runs as printed, its list of the public
 surface names only what the package exports, the package exports exactly
 the public names of its modules, and `import mzr` loads only the modules
-a value needs."""
+a value needs: no numpy for a value above s = 1 with r >= 2."""
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -46,9 +47,19 @@ def test_package_exports_the_public_names_of_its_modules():
         assert getattr(mzr, name) is value, name
 
 
+def _run_fresh(script: str) -> str:
+    """Run script in a fresh interpreter, since this one has imported
+    every module already; return its stdout."""
+    src = str(Path(mzr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_a_value_imports_only_its_modules():
-    # A fresh interpreter: this one has imported every module already.
-    script = textwrap.dedent("""
+    _run_fresh("""
         import sys
         import mzr
 
@@ -56,6 +67,19 @@ def test_a_value_imports_only_its_modules():
         mzr.multizeta(2, 2.0)
         loaded = sorted(name for name in sys.modules if name.split(".")[0] == "mzr")
         assert loaded == ["mzr", "mzr.errors", "mzr.multizeta", "mzr.riemann_kernel"], loaded
+        mzr.multizeta(32, 1.5)
+        mzr.bernoulli(10)
+        mzr.riemann_zeta_alternating(2.0)
+        for r, s, error in [(2, 0.5, mzr.PoleProximityError), (32, 10.0, mzr.NonConvergenceError)]:
+            try:
+                mzr.multizeta(r, s)
+            except error:
+                pass
+            else:
+                raise AssertionError(f"multizeta({r}, {s}) returned")
+        assert "numpy" not in sys.modules
+        mzr.multizeta(3, 0.6)
+        assert "numpy" in sys.modules
         try:
             mzr.no_such_name
         except AttributeError:
@@ -67,8 +91,18 @@ def test_a_value_imports_only_its_modules():
         exec("from mzr import *", namespace)
         assert [name for name in mzr.__all__ if name not in namespace] == []
     """)
-    src = str(Path(mzr.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+
+
+def test_values_above_one_need_no_numpy():
+    # Every numpy import raises in this interpreter.
+    points = [(r, s) for r in range(2, 33) for s in (1.001, 2.0, 3.7)]
+    out = _run_fresh(f"""
+        import json
+        import sys
+
+        sys.modules["numpy"] = None
+        import mzr
+
+        print(json.dumps([mzr.multizeta(r, s).hex() for r, s in {points!r}]))
+    """)
+    assert json.loads(out) == [mzr.multizeta(r, s).hex() for r, s in points]
