@@ -8,9 +8,8 @@ kernel and the r-fold evaluators.  The public names of `asymptotics`,
 value needs those modules.  Only a process that evaluates values and
 never asks for a pole constant, a scan or a census starts sooner; any
 other process pays each of those modules' import once, at its first
-access, instead of at `import mzr`.  numpy loads at the first array,
-s <= 1, r = 1 or scan, never for a value with r >= 2 and s > 1.
-`mzr.cli` (`python -m mzr`) imports every module, numpy too, up front.
+access, instead of at `import mzr`.  The README's "Library surface"
+lists which calls load numpy.  `mzr.cli` imports every module up front.
 """
 
 from importlib import import_module as _import_module

@@ -15,8 +15,8 @@ small Euler-Maclaurin power sums sum_{m >= N} m^(-i s).  Closed forms for
 r = 2, 3, 4 and a truncated-sum oracle over the absolutely convergent
 region, the same product expansion over m <= n, are kept as cross-checks.
 The split and the truncated sums take libm's pow on Python floats, so
-numpy loads only for an array, s <= 1, r = 1, `closed_form` or a scan,
-and under `python -m mzr`, which imports everything.
+their bits do not depend on numpy's SIMD dispatch and they need no numpy
+(the README's "Library surface" lists which calls load it).
 """
 from __future__ import annotations
 

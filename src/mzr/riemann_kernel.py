@@ -16,10 +16,9 @@ Two independent evaluators are provided on purpose:
   unrelated cross-check; the verify suite compares the two.
 
 The Bernoulli table behind the corrections is built once in exact rational
-arithmetic and reduced to floats only at the use site.  numpy loads only
-in the two kernels: at any array, s <= 1, r = 1 (`riemann_zeta`) or scan,
-and under `python -m mzr`, which imports everything; `bernoulli`,
-`riemann_zeta_alternating` and `_tail` on floats never load it.
+arithmetic and reduced to floats only at the use site.  Only
+`_zeta_multiples` and `_zeta_rows` import numpy (the README's "Library
+surface" lists which calls load it).
 """
 from __future__ import annotations
 

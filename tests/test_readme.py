@@ -68,6 +68,7 @@ def test_a_value_imports_only_its_modules():
         loaded = sorted(name for name in sys.modules if name.split(".")[0] == "mzr")
         assert loaded == ["mzr", "mzr.errors", "mzr.multizeta", "mzr.riemann_kernel"], loaded
         mzr.multizeta(32, 1.5)
+        mzr.truncated_euler_zagier(3, 2.0, 50)
         mzr.bernoulli(10)
         mzr.riemann_zeta_alternating(2.0)
         for r, s, error in [(2, 0.5, mzr.PoleProximityError), (32, 10.0, mzr.NonConvergenceError)]:
@@ -94,7 +95,8 @@ def test_a_value_imports_only_its_modules():
 
 
 def test_values_above_one_need_no_numpy():
-    # Every numpy import raises in this interpreter.
+    # Every numpy import raises in this interpreter, so these bits cannot
+    # depend on numpy's build or on the CPU features its kernels dispatch on.
     points = [(r, s) for r in range(2, 33) for s in (1.001, 2.0, 3.7)]
     out = _run_fresh(f"""
         import json
