@@ -98,10 +98,10 @@ def decreasing_beyond_one() -> Check:
 
 
 def direct_term_doubling() -> Check:
-    """`riemann_zeta` against the same sum with twice its direct terms,
-    the remainder from `_tail`, and the fold-table rows 1..R_MAX at the
-    grid cut against the same rows at twice the cut, on [0, 60] off the
-    poles."""
+    """`riemann_zeta` against 2 `_direct_terms(s)` direct terms and `_tail`
+    (at s <= 1 its own sum, doubled; above 1 a later cut than its split's),
+    and the fold-table rows 1..R_MAX at the grid cut against the same rows
+    at twice the cut, on [0, 60] off the poles."""
     worst = 0.0
     for s in (0.25, 0.5, 2.0, 7.5, 25.0, 40.0):
         n = 2 * _direct_terms(s)

@@ -5,11 +5,11 @@ to the positive real line through the Newton-identity recursion
 
     j * zeta_j(s) = sum_{i=1}^{j} (-1)^(i-1) zeta_{j-i}(s) zeta(i*s),
 
-seeded with zeta_0 = 1.  For s <= 1 (and for r = 1) a scalar evaluation
-runs it on one kernel pass.  Above s = 1 the recursion would cancel
-O(1) terms down to values near (r!)^(-s), so there the sum is split at
-N = r + 8 instead: zeta_r(s) = sum_j e_{r-j}(head) e_j(tail), with the
-head's elementary symmetric functions of m^(-s), m < N, from the
+seeded with zeta_0 = 1.  For s <= 1 a scalar evaluation runs it on one
+kernel pass.  Above s = 1 the recursion would cancel O(1) terms down to
+values near (r!)^(-s), so there the sum is split at N = r + 8 instead,
+zeta itself (r = 1) included: zeta_r(s) = sum_j e_{r-j}(head) e_j(tail),
+with the head's elementary symmetric functions of m^(-s), m < N, from the
 all-positive product expansion, and the tail's from the recursion on the
 small Euler-Maclaurin power sums sum_{m >= N} m^(-i s).  Closed forms for
 r = 2, 3, 4 and a truncated-sum oracle over the absolutely convergent
@@ -60,11 +60,11 @@ _HEAD_EXTRA = 8
 def multizeta(r: int, s: float) -> float:
     """Evaluate the r-fold multiple zeta value at real s >= 0 away from poles.
 
-    For r = 1 or s <= 1, the Newton recursion on zeta(i*s), i = 1..r.  For
-    r >= 2 and s > 1, the head/tail split of the module docstring, which
-    cancels nothing; NonConvergenceError is raised where its value lies
-    below the normal double range (sys.float_info.min), since 0.0 or a
-    subnormal would be wrong in every digit.
+    For s <= 1, the Newton recursion on zeta(i*s), i = 1..r.  For s > 1,
+    the head/tail split of the module docstring, which cancels nothing;
+    NonConvergenceError is raised where its value lies below the normal
+    double range (sys.float_info.min), since 0.0 or a subnormal would be
+    wrong in every digit.
 
     Raises PoleProximityError (naming k and the pole order) within the
     guard radius of any 1/k, k <= r.
@@ -72,24 +72,25 @@ def multizeta(r: int, s: float) -> float:
     r = _check_int(r, "fold count", 1, R_MAX)
     s = float(s)
     _check_abscissa(r, s)
-    if s > 1.0 and r > 1:
+    if s > 1.0:
         return _split(r, s)
     return _newton(_zeta_multiples(s, r))[r]
 
 
 def _split(r: int, s: float) -> float:
-    """zeta_r(s) for s > 1 and r >= 2 as sum_j e_{r-j}(head) e_j(tail),
-    the head m < n = r + _HEAD_EXTRA and the tail m >= n.  The tail power
-    sums q_i come from `_tail` at sigma = i s, the grid kernel's remainder,
-    with n^(-i s) chained from one power; they shrink like n^(1 - i s), so
-    their recursion cancels little."""
+    """zeta_r(s) for s > 1 as sum_j e_{r-j}(head) e_j(tail), the head
+    m < n = r + _HEAD_EXTRA and the tail m >= n.  The tail power sums q_i
+    come from `_tail` at sigma = i s, the grid kernel's remainder, with
+    n^(-i s) chained from one power (q_i = 0.0 once that underflows, where
+    `_tail` would take inf * 0); they shrink like n^(1 - i s), so their
+    recursion cancels little."""
     n = r + _HEAD_EXTRA
     head = _product_expansion([m ** -s for m in range(1, n)], r)
     step = float(n) ** -s
     power = step
     q = []
     for i in range(1, r + 1):
-        q.append(_tail(0.0, i * s, float(n), power))
+        q.append(_tail(0.0, i * s, float(n), power) if power else 0.0)
         power = power * step
     tail = _newton(q)
     value = 0.0
@@ -143,10 +144,11 @@ def _fold_table(r: int, s: np.ndarray) -> list[np.ndarray]:
         raise DomainError("abscissas must be finite")
     if float(s.min()) < 0.0:
         raise DomainError("negative axis is out of scope")
-    for k in range(1, r + 1):
-        near = np.abs(s - 1.0 / k) < POLE_GUARD_RADIUS
-        if near.any():
-            raise PoleProximityError(k=k, order=r // k, s=float(s[near][0]))
+    k = np.rint(1.0 / np.clip(s, 1.0 / (r + 2), 1.5))  # as in `_nearest_pole`
+    near = (k <= r) & (np.abs(s - 1.0 / k) < POLE_GUARD_RADIUS)
+    if near.any():  # the smallest k, then its first point
+        pole = int(k[near].min())
+        raise PoleProximityError(k=pole, order=r // pole, s=float(s[near & (k == pole)][0]))
     return _newton(_zeta_rows(r, s), np.ones_like(s))
 
 
@@ -182,14 +184,12 @@ def closed_form(r: int, s: float) -> float:
     r = _check_int(r, "closed forms exist here only for r in {2,3,4}: r", 2, 4)
     s = float(s)
     _check_abscissa(r, s)
-    z = _zeta_multiples(s, r)  # r rows: at (2, 0.25) a fourth would be zeta(1)
-    z1, z2 = z[0], z[1]
+    # Rows i <= r only: at (2, 0.25) a fourth would be zeta(1).
+    z1, z2, z3, z4 = [multizeta(1, i * s) if i <= r else None for i in range(1, 5)]
     if r == 2:
         return (z1 * z1 - z2) / 2.0
-    z3 = z[2]
     if r == 3:
         return (z1 ** 3 - 3.0 * z1 * z2 + 2.0 * z3) / 6.0
-    z4 = z[3]
     return (z1 ** 4 - 6.0 * z1 * z1 * z2 + 3.0 * z2 * z2 + 8.0 * z1 * z3 - 6.0 * z4) / 24.0
 
 

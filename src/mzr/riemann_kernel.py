@@ -2,15 +2,15 @@
 
 Two independent evaluators are provided on purpose:
 
-* `riemann_zeta` -- Euler-Maclaurin summation: a direct partial sum, the
-  integral tail, the half-term, and Bernoulli-weighted corrections.  This
-  is the production path.  Its one body, `_zeta_multiples`, sums zeta(i*s)
-  for i = 1..r at one abscissa in one vectorised pass: `riemann_zeta` is
-  its first row, and a scalar `multizeta` below s = 1 takes all r.  On
-  arrays, `_zeta_rows` evaluates zeta(i*s) with one cut, taken from the
-  remainder bound, at every row and point: the rows of `multizeta`'s fold
-  tables, whose first row is `multizeta_grid(1, s)`.  Its remainder block,
-  `_tail`, also gives `multizeta` its tail power sums above s = 1.
+* `riemann_zeta` -- `multizeta(1, s)`: Euler-Maclaurin summation, a direct
+  partial sum, the integral tail, the half-term, and Bernoulli-weighted
+  corrections.  The production path.  At s <= 1, `_zeta_multiples` sums
+  zeta(i*s), i = 1..r, at one abscissa in one vectorised pass for a scalar
+  `multizeta`; above 1 its head/tail split takes the tail power sums from
+  the remainder block `_tail`.  On arrays, `_zeta_rows` evaluates
+  zeta(i*s) with one cut, taken from the remainder bound, at every row
+  and point: the rows of `multizeta`'s fold tables, whose first row is
+  `multizeta_grid(1, s)`.
 * `riemann_zeta_alternating` -- the alternating (eta) series with an
   Euler-transform acceleration of its tail.  Slower, kept as a structurally
   unrelated cross-check; the verify suite compares the two.
@@ -46,9 +46,11 @@ POLE_GUARD_RADIUS = 1e-8
 
 
 def _nearest_pole(r: int, s: float) -> tuple[int, int] | None:
-    for k in range(1, r + 1):
-        if abs(s - 1.0 / k) < POLE_GUARD_RADIUS:
-            return k, r // k
+    # Within the guard radius of 1/k, k <= 32, round(1/s) is k, so only that
+    # k is checked; s is held to [1/(r+2), 1.5] first, NaN to the low end.
+    k = round(1.0 / min(max(1.0 / (r + 2), s), 1.5))
+    if k <= r and abs(s - 1.0 / k) < POLE_GUARD_RADIUS:
+        return k, r // k
     return None
 
 
@@ -106,7 +108,7 @@ _CORRECTION_TERMS = 12
 _BLOCK = 8192
 
 # zeta(s) - 1 < 2^-53 from here on, so zeta(s) rounds to 1.0, and so does
-# the sum at this abscissa.  Larger ones are summed here instead: their
+# the sum at this abscissa.  `_zeta_rows` sums larger ones here: their
 # Bernoulli corrections would be an overflowed rising factorial times an
 # underflowed power, which is NaN.
 _ROUNDS_TO_ONE = 54.0
@@ -115,24 +117,19 @@ _ROUNDS_TO_ONE = 54.0
 _GRID_TERMS = 9
 
 
-def _direct_terms(s, ceil=math.ceil, lower=max, upper=min):
-    """Direct-term count at s: ceil(s) + 10, clamped to [20, 80], so the
-    terms grow with s until the direct sum alone is converged past machine
-    precision.  An int for a float s; elementwise on an array with ceil,
-    lower, upper = np.ceil, np.maximum, np.minimum."""
-    return lower(20, upper(ceil(s), 70) + 10)
+def _direct_terms(s, ceil=math.ceil, lower=max):
+    """Direct-term count of `_zeta_multiples` at sigma = i*s <= 32:
+    ceil(sigma) + 10, at least 20.  An int for a float; elementwise on an
+    array with ceil, lower = np.ceil, np.maximum."""
+    return lower(20, ceil(s) + 10)
 
 
 def riemann_zeta(s: float) -> float:
-    """Evaluate zeta(s) for real s >= 0, s != 1, by Euler-Maclaurin summation.
-
-    Relative error is at or below 1e-13 on [0, 60] with `_direct_terms(s)`
-    direct terms and _CORRECTION_TERMS corrections; from s = 54 on, where
-    zeta(s) rounds to 1.0, the value is exactly 1.0.
-    """
-    s = float(s)
-    _check_abscissa(1, s)
-    return _zeta_multiples(s, 1)[0]
+    """Evaluate zeta(s) for real s >= 0, s != 1: `multizeta(1, s)`, bit for
+    bit.  Relative error is at or below 1e-13 on [0, 60]; from s = 53 on,
+    where 2^-s no longer moves 1.0, the value is exactly 1.0."""
+    from .multizeta import multizeta
+    return multizeta(1, s)
 
 
 # `_step_table`, built once on first use: the correction weights, and the
@@ -153,10 +150,10 @@ def _step_table():
 
 
 def _zeta_multiples(s: float, r: int) -> list[float]:
-    """zeta(i*s) for i = 1..r, as floats, at one abscissa s >= 0 whose
-    multiples all lie off the pole.
+    """zeta(i*s) for i = 1..r, as floats, at one abscissa 0 <= s <= 1
+    whose multiples all lie off the pole.
 
-    Row i is the Euler-Maclaurin sum at sigma = min(i*s, 54) with
+    Row i is the Euler-Maclaurin sum at sigma = i*s with
     `_direct_terms(sigma)` terms, vectorised over i but rounded step for
     step as the sum at that sigma alone: numpy's pairwise direct sum, then
     the integral term, the half term and the corrections added left to
@@ -164,9 +161,8 @@ def _zeta_multiples(s: float, r: int) -> list[float]:
     last bit)."""
     import numpy as np
     offset, shift, weights = _step_table()
-    # min(i*s, 54), without overflowing i*s first.
-    sigma = np.minimum(np.arange(1, r + 1) * min(s, _ROUNDS_TO_ONE), _ROUNDS_TO_ONE)
-    n = _direct_terms(sigma, np.ceil, np.maximum, np.minimum)
+    sigma = np.arange(1, r + 1) * s
+    n = _direct_terms(sigma, np.ceil, np.maximum)
     cols = np.empty((r, _POWERS + 1))
     # n never decreases with i: each run of equal n is reduced over its own
     # n - 1 terms, since padding would move numpy's pairwise blocks.
@@ -227,6 +223,10 @@ def _zeta_rows(r: int, s: np.ndarray, terms: int = _GRID_TERMS) -> np.ndarray:
     return out
 
 
+# `_tail`'s Horner steps j = _CORRECTION_TERMS - 1 .. 1: 2j - 1, 2j and W_j.
+_HORNER = [(2.0 * j - 1.0, 2.0 * j, _CORRECTION_WEIGHT[j]) for j in range(_CORRECTION_TERMS - 1, 0, -1)]
+
+
 def _tail(total, sigma, n, tail):
     """total plus the Euler-Maclaurin remainder sum_{m >= n} m^(-sigma)
     from one float cut n, given tail = n^(-sigma): the integral term, the
@@ -247,11 +247,11 @@ def _tail(total, sigma, n, tail):
     # (sigma + 2j - 3)(sigma + 2j - 2).
     inv_n2 = 1.0 / (n * n)
     acc = _CORRECTION_WEIGHT[_CORRECTION_TERMS]
-    for j in range(_CORRECTION_TERMS - 1, 0, -1):
-        acc = acc * (sigma + (2 * j - 1))
-        acc *= sigma + 2 * j
+    for odd, even, weight in _HORNER:
+        acc = acc * (sigma + odd)
+        acc *= sigma + even
         acc *= inv_n2
-        acc += _CORRECTION_WEIGHT[j]
+        acc += weight
     total += sigma * inv_n2 * acc * tail_n
     return total
 

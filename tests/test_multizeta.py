@@ -30,7 +30,8 @@ from mzr import (
 )
 from mzr import riemann_kernel
 from mzr.multizeta import _fold_table, _newton, _product_expansion
-from mzr.riemann_kernel import _direct_terms, _tail, _zeta_multiples, _zeta_rows, bernoulli
+from mzr.riemann_kernel import POLE_GUARD_RADIUS, _direct_terms, _tail, _zeta_multiples, _zeta_rows
+from mzr.riemann_kernel import bernoulli
 
 multizeta_module = importlib.import_module("mzr.multizeta")
 
@@ -122,7 +123,7 @@ class TestRecursionValues:
             reference = float(e[r])
         assert multizeta(r, s) == pytest.approx(reference, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("r", [2, 3, 5, 8, 16, 24, 32])
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 16, 24, 32])
     def test_split_against_mpmath(self, r):
         # The reference is the recursion in mpmath, with the working
         # precision raised by the digits it cancels; values below the
@@ -173,9 +174,8 @@ def _mp_fold(mpmath, r, s, keep=30):
 
 def _reference_zeta(s):
     """The scalar Euler-Maclaurin path in its plainest form, the one-abscissa
-    loop the vectorised kernel replaced: the clamp at 54, 12 corrections,
-    np.sum over np.arange, the rising-factorial loop."""
-    s = min(s, 54.0)
+    loop the vectorised kernel replaced: 12 corrections, np.sum over
+    np.arange, the rising-factorial loop."""
     n, m = _direct_terms(s), 12
     total = float(np.sum(np.arange(1, n, dtype=float) ** (-s)))
     total += n ** (1.0 - s) / (s - 1.0)
@@ -223,12 +223,12 @@ class TestBitIdentity:
     when every value stays the same bit for bit."""
 
     def test_scalar_path_equals_reference(self):
-        # The paths that keep the recursion: r = 1 for every s, and s <= 1
-        # for every r (above 1 the head/tail split takes over).
+        # The path that keeps the recursion: s <= 1 for every r (above 1
+        # the head/tail split takes over, r = 1 included).
         rng = random.Random(20)
         for r in range(1, R_MAX + 1):
             for _ in range(25):
-                s = rng.uniform(0.0, 4.0 if r == 1 else 1.0)
+                s = rng.uniform(0.0, 1.0)
                 if nearest_pole(r, s) is not None:
                     continue
                 p = [_reference_zeta(i * s) for i in range(1, r + 1)]
@@ -245,9 +245,9 @@ class TestBitIdentity:
                 want.append(_reference_zeta(r * s))
                 assert _zeta_multiples(s, r) == want, (r, s)
 
-    def test_single_row_across_the_clamp(self):
-        # r = 1 on [0, 100], past the clamp at 54, is riemann_zeta itself.
-        for s in np.linspace(0.0, 100.0, 2001).tolist():
+    def test_single_row_below_one(self):
+        # r = 1 on [0, 1] is riemann_zeta itself.
+        for s in np.linspace(0.0, 1.0, 2001).tolist():
             if s != 1.0:
                 assert _zeta_multiples(s, 1) == [_reference_zeta(s)], s
                 assert riemann_zeta(s) == _reference_zeta(s), s
@@ -280,8 +280,8 @@ class TestBitIdentity:
 
 
 class TestKernelCalls:
-    """A scalar value below s = 1 (or at r = 1) takes every zeta(i*s) from
-    one vectorised kernel call."""
+    """A scalar value at s <= 1 takes every zeta(i*s) from one vectorised
+    kernel call."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -299,7 +299,7 @@ class TestKernelCalls:
         return calls
 
     @pytest.mark.parametrize(
-        "r,s", [(1, 0.5), (1, 3.0), (2, 0.3), (7, 0.6), (16, 0.7), (32, 0.686), (32, 0.0)]
+        "r,s", [(1, 0.5), (2, 0.3), (7, 0.6), (16, 0.7), (32, 0.686), (32, 0.0)]
     )
     def test_one_call_per_value(self, kernel_calls, r, s):
         multizeta(r, s)
@@ -307,15 +307,16 @@ class TestKernelCalls:
 
     def test_split_makes_none(self, kernel_calls):
         multizeta(16, 2.0)
+        multizeta(1, 3.0)
         assert kernel_calls == []
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_closed_form_asks_for_r_rows(self, kernel_calls, r):
-        # Four rows at s = 0.25 would evaluate zeta(1).
+        # One call per row; a fourth row at s = 0.25 would evaluate zeta(1).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             closed_form(r, 0.25)
-        assert kernel_calls == [(0.25, r)]
+        assert kernel_calls == [(i * 0.25, 1) for i in range(1, r + 1)]
 
 
 class TestIntegerParameters:
@@ -360,9 +361,38 @@ class TestPoleGuard:
         assert nearest_pole(2, 1.0) == (1, 2)
         assert nearest_pole(np.int64(3), 0.5) == (2, 1)
         assert nearest_pole(R_MAX, 1.0 / R_MAX) == (R_MAX, 1)
+        for s in (math.nan, math.inf, -math.inf, 0.0, -0.5, 1e-320):
+            assert nearest_pole(R_MAX, s) is None
         for r in (2.5, 0, True, R_MAX + 1):
             with pytest.raises(ParameterRangeError, match="fold count"):
                 nearest_pole(r, 1.0)
+
+    def test_guards_match_the_loop_over_every_pole(self):
+        # Both guards look only at k = round(1/s).  The reference is the
+        # loop over k = 1..r, at 1/k +- {0.5, 0.99, 1.01, 2} guard radii.
+        def loop(r, s):
+            for k in range(1, r + 1):
+                if abs(s - 1.0 / k) < POLE_GUARD_RADIUS:
+                    return k, r // k
+            return None
+
+        points = [
+            1.0 / k + sign * f * POLE_GUARD_RADIUS
+            for k in range(1, R_MAX + 1) for f in (0.5, 0.99, 1.01, 2.0) for sign in (-1.0, 1.0)
+        ]
+        random.Random(31).shuffle(points)
+        for r in range(1, R_MAX + 1):
+            hits = sorted((loop(r, s), i) for i, s in enumerate(points) if loop(r, s))
+            assert [nearest_pole(r, s) for s in points] == [loop(r, s) for s in points], r
+            # An array names the smallest k, then its first point: drop that
+            # point and the next hit is named, until none is left.
+            keep = np.ones(len(points), dtype=bool)
+            for (k, order), i in hits:
+                with pytest.raises(PoleProximityError) as info:
+                    _fold_table(r, np.array(points)[keep])
+                assert (info.value.k, info.value.order, info.value.s) == (k, order, points[i])
+                keep[i] = False
+            assert len(_fold_table(r, np.array(points)[keep])) == r + 1
 
 
 class TestClosedForms:
